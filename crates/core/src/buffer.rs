@@ -83,16 +83,32 @@ impl FieldData {
         })
     }
 
+    /// Append the contents as bytes, elements little-endian — what a key
+    /// field contributes to the index key and what a spill frame stores.
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        match self {
+            FieldData::Str(s) => out.extend_from_slice(s.as_bytes()),
+            FieldData::Bytes(v) => out.extend_from_slice(v),
+            FieldData::F64(v) => v
+                .iter()
+                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+            FieldData::F32(v) => v
+                .iter()
+                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+            FieldData::I32(v) => v
+                .iter()
+                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+            FieldData::I64(v) => v
+                .iter()
+                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+        }
+    }
+
     /// Bytes used as the index key when this buffer fills a key field.
     pub fn key_bytes(&self) -> Vec<u8> {
-        match self {
-            FieldData::Str(s) => s.as_bytes().to_vec(),
-            FieldData::Bytes(v) => v.clone(),
-            FieldData::F64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            FieldData::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            FieldData::I32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            FieldData::I64(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-        }
+        let mut out = Vec::with_capacity(self.byte_len() as usize);
+        self.extend_le_bytes(&mut out);
+        out
     }
 }
 

@@ -19,16 +19,16 @@
 //! `add_unit`, `read_unit`, `wait_unit`, `finish_unit`, `delete_unit`,
 //! and `set_mem_space`.
 
-use crate::buffer::{FieldBuffer, FieldData, FieldRef, Key};
+use crate::buffer::{FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
 use crate::exec::Executor;
 use crate::metrics::GboMetrics;
 use crate::sched::SchedulerKind;
-use crate::schema::{DeclaredSize, FieldKind};
+use crate::schema::{DeclaredSize, FieldKind, RecordTypeDef};
 use crate::stats::GboStats;
 use crate::store::Store;
 use crate::unit::{EvictionPolicy, ReadFn, ReadFunction, UnitState};
-use crate::units::{AllocCtx, UnitEntry, Units};
+use crate::units::{AllocCtx, UnitEntry, UnitTag, Units};
 use crate::wal::{self, Durability, ManifestUnit, RestoreInfo, SnapshotInfo, Wal, WalEntry};
 use godiva_obs::{FlightRecorder, MetricsRegistry, Tracer};
 use std::path::{Path, PathBuf};
@@ -131,7 +131,9 @@ pub struct GboConfig {
     /// Tracer receiving the database's lifecycle events (unit added /
     /// read / waited-on / finished / evicted, record commits, key
     /// lookups, deadlocks). Default: disabled — one untaken branch per
-    /// would-be event, no allocation.
+    /// would-be event, no allocation. The per-record events
+    /// (`record_commit`, `key_lookup`, the `wal_append` of a record
+    /// commit) exist only while this tracer is enabled.
     pub tracer: Tracer,
     /// Registry this database registers its metrics in, under `gbo.*`
     /// names. `None` (the default) keeps the metrics private to
@@ -139,7 +141,9 @@ pub struct GboConfig {
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Crash flight recorder: a bounded ring of the most recent `gbo`
     /// events, teed off the tracer (it records even when `tracer` is
-    /// disabled) and dumped as a JSONL post-mortem when a read function
+    /// disabled — then every event but the per-record ones, so the ring
+    /// spans unit lifecycles rather than the last few thousand lookups)
+    /// and dumped as a JSONL post-mortem when a read function
     /// panics or a deadlock is detected. Default: on, with
     /// [`godiva_obs::DEFAULT_FLIGHT_RECORDER_CAPACITY`] events. Set to
     /// `None` for zero instrumentation (benchmark baselines).
@@ -219,6 +223,13 @@ pub(crate) struct Inner {
     /// flight recorder is installed this tracer fans out to it, so the
     /// recorder's ring always holds the most recent `gbo` events.
     pub(crate) tracer: Tracer,
+    /// Where the per-record events go (`record_commit`, `key_lookup`,
+    /// the `wal_append` of a record commit): `tracer` when the user
+    /// attached one, nowhere otherwise. Hundreds of them per unit would
+    /// push the unit lifecycles a post-mortem is read for out of the
+    /// flight recorder's ring, and building them would be most of an
+    /// untraced lookup's cost.
+    pub(crate) record_tracer: Tracer,
     /// Crash flight recorder (see [`GboConfig::flight_recorder`]).
     pub(crate) flight_recorder: Option<Arc<FlightRecorder>>,
     /// Post-mortem destination override.
@@ -337,159 +348,55 @@ impl Inner {
     // lock order is always units → store)
     // ------------------------------------------------------------------
 
+    /// Create a record of `type_name`, owned by `unit` if given. The
+    /// unit lock is held across the store's insertion, the charge and
+    /// the unit's record list, so the three stay consistent with
+    /// concurrent eviction.
     fn new_record(
         self: &Arc<Self>,
         type_name: &str,
-        unit: Option<&str>,
+        unit: Option<&Arc<UnitTag>>,
         ctx: AllocCtx,
-    ) -> Result<RecordId> {
-        // Resolve the type and pre-allocation plan under the store lock
-        // alone, then charge and install under the unit lock so the
-        // charge, the insertion and the unit's record list stay
-        // consistent with concurrent eviction.
-        let (rt, prealloc, total) = self.store.prepare_record(type_name)?;
+    ) -> Result<RecordHandle> {
         let mut st = self.units.lock();
-        self.units.charge(
+        let (id, rt, total) = self.store.install_record(type_name, unit)?;
+        let charged = self.units.charge(
             &mut st,
             &self.store,
             &self.metrics,
             &self.tracer,
             total,
             ctx,
-            unit,
-        )?;
-        let id = self.store.install_record(rt, prealloc, unit);
-        if let Some(u) = unit.and_then(|u| st.units.get_mut(u)) {
+            unit.map(|u| &**u),
+        );
+        if let Err(e) = charged {
+            self.store.remove_records(&[id]);
+            return Err(e);
+        }
+        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
             u.records.push(id);
         }
         self.metrics.records_created.inc();
-        Ok(id)
+        Ok(RecordHandle {
+            inner: Arc::clone(self),
+            id,
+            ctx,
+            rt,
+            unit: unit.cloned(),
+        })
     }
 
-    fn alloc_field(
-        self: &Arc<Self>,
-        id: RecordId,
-        field: &str,
-        bytes: u64,
-        ctx: AllocCtx,
-    ) -> Result<FieldRef> {
-        let data = {
-            let st = self.store.lock();
-            let (_, kind) = Store::slot_of(&st, id, field)?;
-            FieldData::zeroed(kind, bytes)?
-        };
-        self.set_field(id, field, data, ctx)
-            .map(|r| r.expect("just set"))
-    }
-
-    /// Install `data` as the contents of `(record, field)`; returns the
-    /// buffer handle. Used by `alloc_field` and all `set_*` helpers.
-    ///
-    /// Validation, accounting and installation happen under their own
-    /// locks in turn (store → units → store), which is safe because a
-    /// unit being written is `Reading` (not evictable) and records are
-    /// single-writer by construction — every record is written by the
-    /// read function (or application thread) that created it.
-    fn set_field(
-        self: &Arc<Self>,
-        id: RecordId,
-        field: &str,
-        data: FieldData,
-        ctx: AllocCtx,
-    ) -> Result<Option<FieldRef>> {
-        // Phase 1: validate against schema and record under the store
-        // lock; compute the accounting delta.
-        let (slot, unit, old_len) = {
-            let st = self.store.lock();
-            let (slot, kind) = Store::slot_of(&st, id, field)?;
-            if data.kind() != kind {
-                return Err(GodivaError::TypeMismatch(format!(
-                    "field '{field}' is declared {kind:?}, got {:?}",
-                    data.kind()
-                )));
-            }
-            // Enforce a declared Known size exactly (the paper
-            // pre-allocates exactly that many bytes).
-            if let DeclaredSize::Known(declared) = st.schema.field(field)?.size {
-                if data.byte_len() > declared {
-                    return Err(GodivaError::TypeMismatch(format!(
-                        "field '{field}' declared {declared} bytes, got {}",
-                        data.byte_len()
-                    )));
-                }
-            }
-            let rec = st.records.get(&id).expect("checked by slot_of");
-            if rec.committed && rec.rt.fields[slot].is_key {
-                return Err(GodivaError::TypeMismatch(format!(
-                    "field '{field}' is a key field of a committed record and cannot be changed"
-                )));
-            }
-            let old_len = rec.fields[slot].as_ref().map(|b| b.byte_len()).unwrap_or(0);
-            (slot, rec.unit.clone(), old_len)
-        };
-        // Phase 2: account the delta under the unit lock (may evict or,
-        // for worker reads, block until memory frees).
-        let new_len = data.byte_len();
-        {
-            let mut st = self.units.lock();
-            if new_len > old_len {
-                self.units.charge(
-                    &mut st,
-                    &self.store,
-                    &self.metrics,
-                    &self.tracer,
-                    new_len - old_len,
-                    ctx,
-                    unit.as_deref(),
-                )?;
-            } else {
-                self.units
-                    .release(&mut st, &self.metrics, old_len - new_len, unit.as_deref());
-            }
-        }
-        // Phase 3: install under the store lock. If the record vanished
-        // meanwhile (delete_unit raced us), its whole allocation —
-        // including the delta charged above — was already returned by
-        // drop_unit_data, so no compensation is needed here.
-        let mut st = self.store.lock();
-        let Some(rec) = st.records.get_mut(&id) else {
-            return Err(GodivaError::NotFound(format!("record #{id}")));
-        };
-        let buf = match rec.fields[slot].clone() {
-            Some(buf) => {
-                buf.replace(data);
-                buf
-            }
-            None => {
-                let buf = FieldBuffer::new(data);
-                rec.fields[slot] = Some(Arc::clone(&buf));
-                buf
-            }
-        };
-        Ok(Some(buf))
-    }
-
-    fn field_of(&self, id: RecordId, field: &str) -> Result<FieldRef> {
-        let st = self.store.lock();
-        let (slot, _) = Store::slot_of(&st, id, field)?;
-        st.records.get(&id).expect("checked").fields[slot]
-            .clone()
-            .ok_or_else(|| GodivaError::Unallocated {
-                field: field.to_string(),
-            })
-    }
-
-    /// Key lookup + LRU touch of the owning unit (store lock released
-    /// before the unit lock is taken — see the lock-order note in
-    /// [`crate::store`]).
+    /// Key lookup. Takes the store lock only: the LRU touch of the
+    /// owning unit is an atomic stamp the record shares with it.
     pub(crate) fn lookup(&self, record_type: &str, field: &str, keys: &[Key]) -> Result<FieldRef> {
-        let (buf, unit) =
-            self.store
-                .lookup(&self.metrics, &self.tracer, record_type, field, keys)?;
-        if let Some(unit) = unit {
-            self.units.lock().touch(&unit);
-        }
-        Ok(buf)
+        self.store.lookup(
+            &self.metrics,
+            &self.record_tracer,
+            &self.units.clock,
+            record_type,
+            field,
+            keys,
+        )
     }
 
     /// Write the flight recorder's ring to the post-mortem path (the
@@ -566,11 +473,17 @@ impl Gbo {
         // Tee the tracer into the flight recorder so the ring always
         // holds the tail of the event stream — even when no user tracer
         // is configured (the tee then records into the ring alone).
+        let traced = config.tracer.enabled();
         let tracer = match &config.flight_recorder {
             Some(recorder) => config
                 .tracer
                 .tee(Arc::clone(recorder) as Arc<dyn godiva_obs::TraceSink>),
             None => config.tracer,
+        };
+        let record_tracer = if traced {
+            tracer.clone()
+        } else {
+            Tracer::disabled()
         };
         let workers = if config.background_io {
             config.io_threads
@@ -592,6 +505,7 @@ impl Gbo {
             retry: config.retry,
             metrics: GboMetrics::new(config.metrics.as_deref()),
             tracer,
+            record_tracer,
             flight_recorder: config.flight_recorder,
             postmortem_path: config.postmortem_path,
         });
@@ -645,19 +559,16 @@ impl Gbo {
         {
             let mut st = gbo.inner.units.lock();
             for (name, ru) in &rep.units {
-                st.clock += 1;
-                let clock = st.clock;
                 let entry = st
                     .units
                     .entry(name.clone())
-                    .or_insert_with(|| UnitEntry::new(None, UnitState::Registered, 0));
+                    .or_insert_with(|| UnitEntry::new(name, None, UnitState::Registered, 0));
                 if ru.loaded {
                     // Preserve revisit accounting: a recovered unit that
                     // had loaded counts as previously-loaded, so its next
                     // read is a revisit (spill hit or miss), not a first
                     // load.
-                    entry.loaded_seq = clock;
-                    entry.last_access = clock;
+                    entry.mark_loaded(&gbo.inner.units.clock);
                 }
             }
         }
@@ -878,25 +789,13 @@ impl Gbo {
     /// `newRecord(type)`: create a record (outside any unit) and return a
     /// handle for filling its buffers.
     pub fn new_record(&self, type_name: &str) -> Result<RecordHandle> {
-        let id = self
-            .inner
-            .new_record(type_name, None, AllocCtx::Foreground)?;
-        Ok(RecordHandle {
-            inner: Arc::clone(&self.inner),
-            id,
-            ctx: AllocCtx::Foreground,
-        })
+        self.inner.new_record(type_name, None, AllocCtx::Foreground)
     }
 
     /// `commitRecord(record)`: snapshot the key fields and insert the
     /// record into the index.
     pub fn commit_record(&self, record: &RecordHandle) -> Result<()> {
-        self.inner.store.commit_record(
-            &self.inner.metrics,
-            &self.inner.tracer,
-            self.inner.units.wal.as_deref(),
-            record.id,
-        )
+        record.commit()
     }
 
     // --- dataset query interfaces (§3.1) --------------------------------
@@ -970,7 +869,7 @@ impl Gbo {
                 None => {
                     st.units.insert(
                         name.to_string(),
-                        UnitEntry::new(Some(reader), UnitState::Registered, 0),
+                        UnitEntry::new(name, Some(reader), UnitState::Registered, 0),
                     );
                     self.inner.metrics.units_added.inc();
                     self.inner.units.journal(
@@ -1254,7 +1153,7 @@ impl Drop for UnitGuard {
 /// unit being read.
 pub struct UnitSession {
     pub(crate) inner: Arc<Inner>,
-    pub(crate) unit: String,
+    pub(crate) unit: Arc<UnitTag>,
     pub(crate) ctx: AllocCtx,
 }
 
@@ -1262,7 +1161,7 @@ impl UnitSession {
     /// Name of the unit being read (read functions typically dispatch on
     /// this — e.g. it names the file to open).
     pub fn unit(&self) -> &str {
-        &self.unit
+        &self.unit.name
     }
 
     /// `defineField` — see [`Gbo::define_field`].
@@ -1299,24 +1198,12 @@ impl UnitSession {
 
     /// `newRecord`: create a record owned by this unit.
     pub fn new_record(&self, type_name: &str) -> Result<RecordHandle> {
-        let id = self
-            .inner
-            .new_record(type_name, Some(&self.unit), self.ctx)?;
-        Ok(RecordHandle {
-            inner: Arc::clone(&self.inner),
-            id,
-            ctx: self.ctx,
-        })
+        self.inner.new_record(type_name, Some(&self.unit), self.ctx)
     }
 
     /// `commitRecord`.
     pub fn commit_record(&self, record: &RecordHandle) -> Result<()> {
-        self.inner.store.commit_record(
-            &self.inner.metrics,
-            &self.inner.tracer,
-            self.inner.units.wal.as_deref(),
-            record.id,
-        )
+        record.commit()
     }
 
     /// Query interface, usable for cross-record metadata sharing during
@@ -1331,11 +1218,15 @@ impl UnitSession {
     }
 }
 
-/// Handle to one record: fill buffers, then commit.
+/// Handle to one record: fill buffers, then commit. It carries the
+/// record's compiled type and owning unit, so a `set_*` is checked
+/// against the field's definition without a lock.
 pub struct RecordHandle {
     inner: Arc<Inner>,
     id: RecordId,
     ctx: AllocCtx,
+    rt: Arc<RecordTypeDef>,
+    unit: Option<Arc<UnitTag>>,
 }
 
 impl RecordHandle {
@@ -1344,83 +1235,132 @@ impl RecordHandle {
         self.id
     }
 
+    fn slot(&self, field: &str) -> Result<usize> {
+        self.rt
+            .slot(field)
+            .ok_or_else(|| GodivaError::UnknownField {
+                record_type: self.rt.name.clone(),
+                field: field.to_string(),
+            })
+    }
+
+    /// Install `data` as the contents of `field`; returns the buffer
+    /// handle. Behind `alloc_field` and all `set_*` helpers.
+    ///
+    /// Two locks, nested: the unit lock for the accounting, the store
+    /// lock inside it for the buffer swap — so neither eviction nor
+    /// `delete_unit` can come between the two. The bytes are charged
+    /// after the swap (the caller's vector exists either way); a worker
+    /// short of memory blocks there until eviction or a finish frees
+    /// some.
+    fn set_field(&self, field: &str, data: FieldData) -> Result<FieldRef> {
+        let slot = self.slot(field)?;
+        let def = &self.rt.fields[slot];
+        if data.kind() != def.kind {
+            return Err(GodivaError::TypeMismatch(format!(
+                "field '{field}' is declared {:?}, got {:?}",
+                def.kind,
+                data.kind()
+            )));
+        }
+        let new_len = data.byte_len();
+        // Enforce a declared Known size (the paper pre-allocates exactly
+        // that many bytes).
+        if let DeclaredSize::Known(declared) = def.size {
+            if new_len > declared {
+                return Err(GodivaError::TypeMismatch(format!(
+                    "field '{field}' declared {declared} bytes, got {new_len}"
+                )));
+            }
+        }
+        let inner = &self.inner;
+        let mut st = inner.units.lock();
+        let (buf, old_len) = inner.store.set_field(self.id, slot, data)?;
+        if new_len > old_len {
+            inner.units.charge(
+                &mut st,
+                &inner.store,
+                &inner.metrics,
+                &inner.tracer,
+                new_len - old_len,
+                self.ctx,
+                self.unit.as_deref(),
+            )?;
+        } else {
+            inner.units.release(
+                &mut st,
+                &inner.metrics,
+                old_len - new_len,
+                self.unit.as_deref(),
+            );
+        }
+        Ok(buf)
+    }
+
     /// `allocFieldBuffer(record, field, size)`: allocate a zeroed buffer
     /// of `bytes` bytes for a field whose declared size was UNKNOWN.
     pub fn alloc_field(&self, field: &str, bytes: u64) -> Result<FieldRef> {
-        self.inner.alloc_field(self.id, field, bytes, self.ctx)
+        let kind = self.rt.fields[self.slot(field)?].kind;
+        self.set_field(field, FieldData::zeroed(kind, bytes)?)
     }
 
     /// Fill a `Str` field.
     pub fn set_str(&self, field: &str, value: impl Into<String>) -> Result<()> {
-        self.inner
-            .set_field(self.id, field, FieldData::Str(value.into()), self.ctx)
+        self.set_field(field, FieldData::Str(value.into()))
             .map(|_| ())
     }
 
     /// Fill an `F64` field (moves the vector in — no copy).
     pub fn set_f64(&self, field: &str, values: Vec<f64>) -> Result<()> {
-        self.inner
-            .set_field(self.id, field, FieldData::F64(values), self.ctx)
-            .map(|_| ())
+        self.set_field(field, FieldData::F64(values)).map(|_| ())
     }
 
     /// Fill an `F32` field.
     pub fn set_f32(&self, field: &str, values: Vec<f32>) -> Result<()> {
-        self.inner
-            .set_field(self.id, field, FieldData::F32(values), self.ctx)
-            .map(|_| ())
+        self.set_field(field, FieldData::F32(values)).map(|_| ())
     }
 
     /// Fill an `I32` field.
     pub fn set_i32(&self, field: &str, values: Vec<i32>) -> Result<()> {
-        self.inner
-            .set_field(self.id, field, FieldData::I32(values), self.ctx)
-            .map(|_| ())
+        self.set_field(field, FieldData::I32(values)).map(|_| ())
     }
 
     /// Fill an `I64` field.
     pub fn set_i64(&self, field: &str, values: Vec<i64>) -> Result<()> {
-        self.inner
-            .set_field(self.id, field, FieldData::I64(values), self.ctx)
-            .map(|_| ())
+        self.set_field(field, FieldData::I64(values)).map(|_| ())
     }
 
     /// Fill a `Bytes` field.
     pub fn set_bytes(&self, field: &str, values: Vec<u8>) -> Result<()> {
-        self.inner
-            .set_field(self.id, field, FieldData::Bytes(values), self.ctx)
-            .map(|_| ())
+        self.set_field(field, FieldData::Bytes(values)).map(|_| ())
     }
 
     /// Get the field's buffer handle (must be allocated).
     pub fn field(&self, field: &str) -> Result<FieldRef> {
-        self.inner.field_of(self.id, field)
+        self.inner.store.field(self.id, self.slot(field)?)
     }
 
     /// Mutate a field's buffer in place. Length changes are re-accounted
     /// against the memory budget afterwards (without blocking).
     pub fn update_field<T>(&self, field: &str, f: impl FnOnce(&mut FieldData) -> T) -> Result<T> {
-        let buf = self.inner.field_of(self.id, field)?;
+        let buf = self.field(field)?;
         let old = buf.byte_len();
         let out = buf.update(f);
         let new = buf.byte_len();
-        let unit = {
-            let st = self.inner.store.lock();
-            st.records.get(&self.id).and_then(|r| r.unit.clone())
-        };
+        let unit = self.unit.as_deref();
         let mut st = self.inner.units.lock();
         if new >= old {
             let delta = new - old;
             st.mem_used += delta;
             self.inner.metrics.bytes_allocated.add(delta);
             self.inner.metrics.mem.set(st.mem_used);
-            if let Some(u) = unit.as_deref().and_then(|u| st.units.get_mut(u)) {
+            if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
                 u.bytes += delta;
             }
         } else {
             self.inner
                 .units
-                .release(&mut st, &self.inner.metrics, old - new, unit.as_deref());
+                .release(&mut st, &self.inner.metrics, old - new, unit);
         }
         Ok(out)
     }
@@ -1429,7 +1369,7 @@ impl RecordHandle {
     pub fn commit(&self) -> Result<()> {
         self.inner.store.commit_record(
             &self.inner.metrics,
-            &self.inner.tracer,
+            &self.inner.record_tracer,
             self.inner.units.wal.as_deref(),
             self.id,
         )

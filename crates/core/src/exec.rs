@@ -87,16 +87,19 @@ impl Inner {
         // spilled to the second-tier cache — one sequential file read
         // re-materializes them without invoking the developer callback.
         // A miss or a corrupt frame falls through to the normal path.
-        if self.try_restore_spill(name, ctx)? {
+        let (tag, reader) = {
+            let st = self.units.lock();
+            let entry = st
+                .units
+                .get(name)
+                .ok_or_else(|| GodivaError::UnitError(format!("unknown unit '{name}'")))?;
+            (Arc::clone(&entry.tag), entry.reader.clone())
+        };
+        if self.try_restore_spill(&tag, ctx)? {
             return Ok(());
         }
-        let reader = {
-            let st = self.units.lock();
-            st.units
-                .get(name)
-                .and_then(|u| u.reader.clone())
-                .ok_or_else(|| GodivaError::UnitError(format!("unit '{name}' has no reader")))?
-        };
+        let reader =
+            reader.ok_or_else(|| GodivaError::UnitError(format!("unit '{name}' has no reader")))?;
         let mut attempt = 1u32;
         loop {
             let span_start = self.tracer.now_us();
@@ -117,7 +120,7 @@ impl Inner {
             let attempt_t0 = Instant::now();
             let session = UnitSession {
                 inner: Arc::clone(self),
-                unit: name.to_string(),
+                unit: Arc::clone(&tag),
                 ctx,
             };
             let err = match catch_unwind(AssertUnwindSafe(|| reader.read(&session))) {
@@ -249,31 +252,7 @@ impl Inner {
     /// must *not* be held; the unit must already be marked `Reading`.
     pub(crate) fn run_inline(self: &Arc<Self>, name: &str) -> Result<()> {
         let result = self.run_reader(name, AllocCtx::Inline);
-        let mut st = self.units.lock();
-        st.clock += 1;
-        let clock = st.clock;
-        let entry = st.units.get_mut(name).expect("unit present");
-        match &result {
-            Ok(()) => {
-                entry.state = UnitState::Ready;
-                entry.loaded_seq = clock;
-                entry.last_access = clock;
-                entry.loaded_by = godiva_obs::current_tid();
-                self.units.journal(
-                    &self.metrics,
-                    &self.tracer,
-                    WalEntry::UnitLoaded {
-                        unit: name.to_string(),
-                    },
-                );
-                self.metrics.units_read.inc();
-            }
-            Err(e) => {
-                entry.state = UnitState::Failed(e.to_string());
-                self.metrics.units_failed.inc();
-            }
-        }
-        self.units.unit_cv.notify_all();
+        self.finish_read(name, &result);
         result.map_err(|e| match e {
             already @ GodivaError::ReadFailed { .. } => already,
             other => GodivaError::ReadFailed {
@@ -313,7 +292,7 @@ impl Inner {
                     entry.state = UnitState::Ready;
                     entry.refcount += 1;
                     served_tid = entry.loaded_by;
-                    st.touch(name);
+                    entry.tag.touch(&self.units.clock);
                     if !blocked {
                         self.metrics.cache_hits.inc();
                     }
@@ -514,32 +493,37 @@ impl Inner {
             let result = self.run_reader(&name, AllocCtx::Worker(worker));
             self.metrics.io_workers_busy.dec();
 
-            let mut st = self.units.lock();
-            st.clock += 1;
-            let clock = st.clock;
-            if let Some(entry) = st.units.get_mut(&name) {
-                entry.reading_worker = None;
-                match &result {
-                    Ok(()) => {
-                        entry.state = UnitState::Ready;
-                        entry.loaded_seq = clock;
-                        entry.last_access = clock;
-                        entry.loaded_by = godiva_obs::current_tid();
-                        self.units.journal(
-                            &self.metrics,
-                            &self.tracer,
-                            WalEntry::UnitLoaded { unit: name.clone() },
-                        );
-                        self.metrics.units_read.inc();
-                    }
-                    Err(e) => {
-                        entry.state = UnitState::Failed(e.to_string());
-                        self.metrics.units_failed.inc();
-                    }
+            self.finish_read(&name, &result);
+        }
+    }
+
+    /// Record the outcome of `name`'s read — `Ready` (journaled, stamped
+    /// on the LRU clock) or `Failed` — and wake the waiters.
+    fn finish_read(&self, name: &str, result: &Result<()>) {
+        let mut st = self.units.lock();
+        if let Some(entry) = st.units.get_mut(name) {
+            entry.reading_worker = None;
+            match result {
+                Ok(()) => {
+                    entry.state = UnitState::Ready;
+                    entry.mark_loaded(&self.units.clock);
+                    entry.loaded_by = godiva_obs::current_tid();
+                    self.units.journal(
+                        &self.metrics,
+                        &self.tracer,
+                        WalEntry::UnitLoaded {
+                            unit: name.to_string(),
+                        },
+                    );
+                    self.metrics.units_read.inc();
+                }
+                Err(e) => {
+                    entry.state = UnitState::Failed(e.to_string());
+                    self.metrics.units_failed.inc();
                 }
             }
-            self.units.unit_cv.notify_all();
         }
+        self.units.unit_cv.notify_all();
     }
 }
 

@@ -13,7 +13,8 @@
 //! re-issuing a conflicting one is a [`GodivaError::SchemaConflict`].
 
 use crate::error::{GodivaError, Result};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Element type of a field buffer.
 ///
@@ -70,13 +71,19 @@ pub struct FieldTypeDef {
     pub size: DeclaredSize,
 }
 
-/// One field's membership in a record type.
+/// One field's membership in a record type, with the field type's
+/// definition resolved into it (a field definition never changes once
+/// made), so record operations validate against the slot alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldSlot {
     /// The field type name.
     pub field: String,
     /// Whether this field participates in the record key.
     pub is_key: bool,
+    /// The field type's element type.
+    pub kind: FieldKind,
+    /// The field type's declared buffer size.
+    pub size: DeclaredSize,
 }
 
 /// A record type: a named set of field slots plus key metadata.
@@ -90,6 +97,9 @@ pub struct RecordTypeDef {
     pub fields: Vec<FieldSlot>,
     /// Whether `commit_record_type` has frozen this definition.
     pub committed: bool,
+    /// Dense number given by `commit_record_type` in commit order; the
+    /// store reaches a type's key index through it.
+    pub id: usize,
 }
 
 impl RecordTypeDef {
@@ -113,10 +123,14 @@ impl RecordTypeDef {
 }
 
 /// The registry of all defined field and record types.
+///
+/// Record types are shared out as `Arc`s once committed (records and
+/// their handles hold one), and found by name through an ordered map:
+/// a lookup by `&str` compares, it neither hashes nor allocates.
 #[derive(Debug, Default)]
 pub struct Schema {
     fields: HashMap<String, FieldTypeDef>,
-    records: HashMap<String, RecordTypeDef>,
+    records: BTreeMap<String, Arc<RecordTypeDef>>,
 }
 
 impl Schema {
@@ -160,12 +174,13 @@ impl Schema {
             None => {
                 self.records.insert(
                     name.to_string(),
-                    RecordTypeDef {
+                    Arc::new(RecordTypeDef {
                         name: name.to_string(),
                         declared_keys,
                         fields: Vec::new(),
                         committed: false,
-                    },
+                        id: 0,
+                    }),
                 );
                 Ok(())
             }
@@ -192,17 +207,17 @@ impl Schema {
 
     /// `insertField(record, field, is_key)`.
     pub fn insert_field(&mut self, record: &str, field: &str, is_key: bool) -> Result<()> {
-        if !self.fields.contains_key(field) {
-            return Err(GodivaError::UnknownType(format!("field type '{field}'")));
-        }
+        let def = self.field(field)?;
+        let slot = FieldSlot {
+            field: field.to_string(),
+            is_key,
+            kind: def.kind,
+            size: def.size,
+        };
         let rec = self
             .records
             .get_mut(record)
             .ok_or_else(|| GodivaError::UnknownType(format!("record type '{record}'")))?;
-        let slot = FieldSlot {
-            field: field.to_string(),
-            is_key,
-        };
         if rec.committed {
             // Idempotent re-insertion from a re-run read function.
             return match rec.fields.iter().find(|s| s.field == field) {
@@ -224,7 +239,8 @@ impl Schema {
                 existing.is_key
             ))),
             None => {
-                rec.fields.push(slot);
+                // Not committed, so nothing else holds the `Arc` yet.
+                Arc::make_mut(rec).fields.push(slot);
                 Ok(())
             }
         }
@@ -233,6 +249,7 @@ impl Schema {
     /// `commitRecordType(record)`: freeze the definition after checking
     /// that the number of key fields matches the declaration.
     pub fn commit_record_type(&mut self, record: &str) -> Result<()> {
+        let committed = self.records.values().filter(|r| r.committed).count();
         let rec = self
             .records
             .get_mut(record)
@@ -252,7 +269,9 @@ impl Schema {
                 rec.declared_keys
             )));
         }
+        let rec = Arc::make_mut(rec);
         rec.committed = true;
+        rec.id = committed;
         Ok(())
     }
 
@@ -264,14 +283,14 @@ impl Schema {
     }
 
     /// Look up a record type.
-    pub fn record(&self, name: &str) -> Result<&RecordTypeDef> {
+    pub fn record(&self, name: &str) -> Result<&Arc<RecordTypeDef>> {
         self.records
             .get(name)
             .ok_or_else(|| GodivaError::UnknownType(format!("record type '{name}'")))
     }
 
     /// Look up a committed record type (creating records requires this).
-    pub fn committed_record(&self, name: &str) -> Result<&RecordTypeDef> {
+    pub fn committed_record(&self, name: &str) -> Result<&Arc<RecordTypeDef>> {
         let rec = self.record(name)?;
         if !rec.committed {
             return Err(GodivaError::TypeState(format!(
@@ -283,9 +302,7 @@ impl Schema {
 
     /// Names of all defined record types.
     pub fn record_type_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.records.keys().cloned().collect();
-        v.sort();
-        v
+        self.records.keys().cloned().collect()
     }
 }
 

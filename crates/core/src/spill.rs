@@ -45,13 +45,13 @@
 //! the file; a mismatch (or any decode failure) counts as
 //! `spill_corrupt`, deletes the file and falls back to the callback.
 
-use crate::buffer::{FieldData, Key};
+use crate::buffer::FieldData;
 use crate::db::Inner;
 use crate::error::Result;
 use crate::metrics::GboMetrics;
 use crate::schema::FieldKind;
-use crate::store::{RecordId, Store};
-use crate::units::AllocCtx;
+use crate::store::{EncodedKey, RecordId, Store};
+use crate::units::{AllocCtx, UnitTag};
 use crate::wal::{Wal, WalEntry};
 use godiva_obs::Tracer;
 use godiva_platform::Storage;
@@ -419,7 +419,7 @@ pub(crate) fn desanitize(s: &str) -> Option<String> {
 // frame encode / decode
 // ---------------------------------------------------------------------------
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
@@ -438,22 +438,7 @@ fn kind_tag(kind: FieldKind) -> u8 {
 fn encode_data(out: &mut Vec<u8>, data: &FieldData) {
     out.push(kind_tag(data.kind()));
     out.extend_from_slice(&data.byte_len().to_le_bytes());
-    match data {
-        FieldData::Str(s) => out.extend_from_slice(s.as_bytes()),
-        FieldData::Bytes(v) => out.extend_from_slice(v),
-        FieldData::F64(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        FieldData::F32(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        FieldData::I32(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        FieldData::I64(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-    }
+    data.extend_le_bytes(out);
 }
 
 /// Serialize `unit`'s records into a checksummed frame. Takes the store
@@ -469,16 +454,16 @@ pub(crate) fn encode_unit(store: &Store, unit: &str, records: &[RecordId]) -> Op
     for rid in records {
         let rec = st.records.get(rid)?;
         put_bytes(&mut out, rec.rt.name.as_bytes());
-        out.push(rec.committed as u8);
+        // "committed" and "key present" are one fact in memory; the
+        // frame keeps its two bytes. The stored key is already the
+        // frame's `u32 len + bytes` per key field.
         match &rec.key {
-            Some(keys) => {
-                out.push(1);
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in keys {
-                    put_bytes(&mut out, &k.0);
-                }
+            Some(key) => {
+                out.extend_from_slice(&[1, 1]);
+                out.extend_from_slice(&(rec.rt.declared_keys as u32).to_le_bytes());
+                out.extend_from_slice(key.as_bytes());
             }
-            None => out.push(0),
+            None => out.extend_from_slice(&[0, 0]),
         }
         out.extend_from_slice(&(rec.fields.len() as u32).to_le_bytes());
         for slot in &rec.fields {
@@ -500,7 +485,7 @@ pub(crate) fn encode_unit(store: &Store, unit: &str, records: &[RecordId]) -> Op
 pub(crate) struct RecordFrame {
     pub(crate) type_name: String,
     pub(crate) committed: bool,
-    pub(crate) key: Option<Vec<Key>>,
+    pub(crate) key: Option<EncodedKey>,
     pub(crate) fields: Vec<Option<FieldData>>,
 }
 
@@ -620,12 +605,12 @@ pub(crate) fn decode_unit(frame: &[u8], unit: &str) -> Option<Vec<RecordFrame>> 
         let key = match r.u8()? {
             0 => None,
             _ => {
-                let n = r.u32()? as usize;
-                let mut keys = Vec::with_capacity(n);
+                let n = r.u32()?;
+                let start = r.pos;
                 for _ in 0..n {
-                    keys.push(Key(r.bytes()?.to_vec()));
+                    r.bytes()?;
                 }
-                Some(keys)
+                Some(EncodedKey::new(&r.buf[start..r.pos]))
             }
         };
         let slots = r.u32()? as usize;
@@ -661,10 +646,15 @@ impl Inner {
     /// `Err` = a real failure while charging the restored bytes
     /// (shutdown, out of memory). Must be called without the units lock
     /// held, with the unit already marked `Reading`.
-    pub(crate) fn try_restore_spill(self: &Arc<Self>, name: &str, ctx: AllocCtx) -> Result<bool> {
+    pub(crate) fn try_restore_spill(
+        self: &Arc<Self>,
+        unit: &Arc<UnitTag>,
+        ctx: AllocCtx,
+    ) -> Result<bool> {
         let Some(spill) = &self.units.spill else {
             return Ok(false);
         };
+        let name = unit.name.as_str();
         let miss = || {
             // Only a *re-read* counts as a miss — a unit that was never
             // loaded before has nothing the tier could have kept
@@ -713,24 +703,18 @@ impl Inner {
             &self.tracer,
             total,
             ctx,
-            Some(name),
+            Some(unit),
         )?;
         let mut installed: Vec<RecordId> = Vec::with_capacity(records.len());
         for rec in records {
-            match self.store.restore_record(
-                &rec.type_name,
-                rec.committed,
-                rec.key,
-                rec.fields,
-                name,
-            ) {
+            match self.store.restore_record(rec, unit) {
                 Ok(id) => installed.push(id),
                 Err(_) => {
                     // Partial restore (schema drift, duplicate key):
                     // roll everything back and fall back to the reader.
                     self.store.remove_records(&installed);
                     self.units
-                        .release(&mut st, &self.metrics, total, Some(name));
+                        .release(&mut st, &self.metrics, total, Some(unit));
                     drop(st);
                     spill.invalidate(&self.metrics, &self.tracer, name);
                     miss();
@@ -894,10 +878,12 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
+        let mut key7 = Vec::new();
+        put_bytes(&mut key7, &7i64.to_le_bytes());
         let frames = [RecordFrame {
             type_name: "t".into(),
             committed: true,
-            key: Some(vec![Key::from(7i64)]),
+            key: Some(EncodedKey::new(&key7)),
             fields: vec![
                 Some(FieldData::F64(vec![1.5, -2.5])),
                 None,
@@ -916,7 +902,7 @@ mod tests {
         out.push(1);
         out.push(1);
         out.extend_from_slice(&1u32.to_le_bytes());
-        put_bytes(&mut out, &rec.key.as_ref().unwrap()[0].0);
+        out.extend_from_slice(rec.key.as_ref().unwrap().as_bytes());
         out.extend_from_slice(&(rec.fields.len() as u32).to_le_bytes());
         for f in &rec.fields {
             match f {
@@ -934,7 +920,7 @@ mod tests {
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].type_name, "t");
         assert!(decoded[0].committed);
-        assert_eq!(decoded[0].key.as_ref().unwrap()[0], Key::from(7i64));
+        assert!(decoded[0].key == frames[0].key);
         assert_eq!(decoded[0].fields[0], Some(FieldData::F64(vec![1.5, -2.5])));
         assert_eq!(decoded[0].fields[1], None);
         assert_eq!(decoded[0].fields[2], Some(FieldData::Str("hello".into())));

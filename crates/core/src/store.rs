@@ -9,46 +9,147 @@
 //!
 //! ## Lock order
 //!
-//! The store lock is the **innermost** lock: code holding the unit-table
-//! lock may take the store lock (eviction does, to drop a unit's
-//! records), but never the reverse. Paths that need both in the other
-//! direction (e.g. key lookup touching the owning unit's LRU clock)
-//! release the store lock first.
+//! The store lock is the **innermost** database lock: code holding the
+//! unit-table lock may take the store lock (record creation, `set_*`
+//! and eviction do), but never the reverse. A key lookup takes the store
+//! lock alone — it stamps the owning unit's LRU cell, an atomic the
+//! record shares with the unit-table entry ([`UnitTag`]).
 
-use crate::buffer::{FieldData, FieldRef, Key};
+use crate::buffer::{FieldBuffer, FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
 use crate::metrics::GboMetrics;
-use crate::schema::{DeclaredSize, FieldKind, RecordTypeDef, Schema};
-use crate::wal::{Wal, WalEntry};
+use crate::schema::{DeclaredSize, RecordTypeDef, Schema};
+use crate::spill::{put_bytes, Reader, RecordFrame};
+use crate::units::UnitTag;
+use crate::wal::Wal;
 use godiva_obs::Tracer;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Identifier of a record inside one database.
 pub type RecordId = u64;
 
-/// Pre-allocation plan for a new record: the committed type, the
-/// zeroed known-size buffers (by field slot), and the bytes to charge.
-pub(crate) type RecordPlan = (Arc<RecordTypeDef>, Vec<(usize, FieldData)>, u64);
+/// A record's key as the index holds it: every key field's bytes behind
+/// a little-endian `u32` length, concatenated in key-field order. That
+/// is the layout `.gsp` frames and WAL records give a key list after its
+/// count, so they copy it verbatim. Each part delimits itself, so two
+/// different key lists — of any arity — never encode alike.
+///
+/// The index orders keys byte-wise over this encoding. That is an order
+/// (all §3.3's tree needs for exact-match probes; nothing walks the
+/// index in order) but not a meaningful one: lengths and little-endian
+/// integers compare low byte first, so it is neither the numeric order
+/// of the key values nor the lexicographic order of variable-length
+/// ones.
+#[derive(Clone)]
+pub(crate) enum EncodedKey {
+    /// Short keys (the paper's block id + time-step id, two integers)
+    /// sit inside the index node: comparing them follows no pointer.
+    Inline(u8, [u8; EncodedKey::INLINE]),
+    /// One allocation, shared by the index and the record entry.
+    Heap(Arc<[u8]>),
+}
+
+impl EncodedKey {
+    const INLINE: usize = 30;
+
+    pub(crate) fn new(bytes: &[u8]) -> Self {
+        if bytes.len() <= Self::INLINE {
+            let mut buf = [0; Self::INLINE];
+            buf[..bytes.len()].copy_from_slice(bytes);
+            EncodedKey::Inline(bytes.len() as u8, buf)
+        } else {
+            EncodedKey::Heap(bytes.into())
+        }
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        match self {
+            EncodedKey::Inline(len, buf) => &buf[..*len as usize],
+            EncodedKey::Heap(bytes) => bytes,
+        }
+    }
+
+    /// The key parts, for messages (`DuplicateKey` names the key as the
+    /// caller would have passed it).
+    fn parts(&self) -> Vec<Key> {
+        let mut r = Reader::new(self.as_bytes());
+        std::iter::from_fn(|| r.bytes().map(|p| Key(p.to_vec()))).collect()
+    }
+}
+
+impl std::borrow::Borrow<[u8]> for EncodedKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for EncodedKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for EncodedKey {}
+
+impl PartialOrd for EncodedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for EncodedKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+/// Hasher for the record table. Record ids are handed out in sequence
+/// by the store itself, never chosen by a caller, so one multiply
+/// (Fibonacci hashing, to spread them over the high bits the table's
+/// control bytes use) replaces SipHash.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("record ids hash through write_u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 pub(crate) struct RecordEntry {
     pub(crate) rt: Arc<RecordTypeDef>,
     /// One slot per field of the record type, in definition order.
     pub(crate) fields: Vec<Option<FieldRef>>,
-    pub(crate) committed: bool,
-    /// Key snapshot taken at commit (guards the index against later key
-    /// buffer modification — see DESIGN.md).
-    pub(crate) key: Option<Vec<Key>>,
-    pub(crate) unit: Option<String>,
+    /// Key snapshot taken at commit; `Some` is what "committed" means.
+    /// (The snapshot guards the index against later key buffer
+    /// modification — see DESIGN.md.)
+    pub(crate) key: Option<EncodedKey>,
+    pub(crate) unit: Option<Arc<UnitTag>>,
 }
+
+type Index = BTreeMap<EncodedKey, RecordId>;
 
 pub(crate) struct StoreState {
     pub(crate) schema: Schema,
-    pub(crate) committed_types: HashMap<String, Arc<RecordTypeDef>>,
-    pub(crate) records: HashMap<RecordId, RecordEntry>,
-    pub(crate) index: HashMap<String, BTreeMap<Vec<Key>, RecordId>>,
-    pub(crate) next_record: RecordId,
+    pub(crate) records: HashMap<RecordId, RecordEntry, BuildHasherDefault<IdHasher>>,
+    /// Encoded key → record, one map per record type, at the type's
+    /// [`RecordTypeDef::id`].
+    index: Vec<Index>,
+    next_record: RecordId,
+    /// Where a key is encoded before it is probed or stored.
+    scratch: Vec<u8>,
 }
 
 /// The store layer: one lock over schema + records + index.
@@ -56,15 +157,44 @@ pub(crate) struct Store {
     state: Mutex<StoreState>,
 }
 
+fn no_record(id: RecordId) -> GodivaError {
+    GodivaError::NotFound(format!("record #{id}"))
+}
+
+fn duplicate(rt: &RecordTypeDef, key: &EncodedKey, existing: RecordId) -> GodivaError {
+    GodivaError::DuplicateKey(format!(
+        "record type '{}': key {:?} already identifies record #{existing}",
+        rt.name,
+        key.parts()
+    ))
+}
+
+impl StoreState {
+    fn insert(&mut self, entry: RecordEntry) -> RecordId {
+        let id = self.next_record;
+        self.next_record += 1;
+        self.records.insert(id, entry);
+        id
+    }
+}
+
+/// The index of record type number `type_id`, created on first use.
+fn index_of(index: &mut Vec<Index>, type_id: usize) -> &mut Index {
+    if index.len() <= type_id {
+        index.resize_with(type_id + 1, Index::new);
+    }
+    &mut index[type_id]
+}
+
 impl Store {
     pub(crate) fn new() -> Self {
         Store {
             state: Mutex::new(StoreState {
                 schema: Schema::new(),
-                committed_types: HashMap::new(),
-                records: HashMap::new(),
-                index: HashMap::new(),
+                records: HashMap::default(),
+                index: Vec::new(),
                 next_record: 1,
+                scratch: Vec::new(),
             }),
         }
     }
@@ -73,83 +203,36 @@ impl Store {
         self.state.lock()
     }
 
-    /// Resolve `(record, field)` to its slot, checking existence.
-    pub(crate) fn slot_of(
-        st: &StoreState,
-        id: RecordId,
-        field: &str,
-    ) -> Result<(usize, FieldKind)> {
-        let rec = st
-            .records
-            .get(&id)
-            .ok_or_else(|| GodivaError::NotFound(format!("record #{id}")))?;
-        let slot = rec
-            .rt
-            .slot(field)
-            .ok_or_else(|| GodivaError::UnknownField {
-                record_type: rec.rt.name.clone(),
-                field: field.to_string(),
-            })?;
-        let kind = st.schema.field(field)?.kind;
-        Ok((slot, kind))
-    }
-
-    /// Resolve the committed record type and the pre-allocation plan for
-    /// a new record of `type_name`: `(type, zeroed known-size buffers,
-    /// total bytes to charge)`. §3.1: "If a field's size is not UNKNOWN,
-    /// its data buffer will be allocated when the new record is created".
-    pub(crate) fn prepare_record(&self, type_name: &str) -> Result<RecordPlan> {
-        let mut st = self.lock();
-        let rt = match st.committed_types.get(type_name) {
-            Some(rt) => Arc::clone(rt),
-            None => {
-                // Promote a freshly committed definition into the cache.
-                let def = st.schema.committed_record(type_name)?.clone();
-                let rt = Arc::new(def);
-                st.committed_types
-                    .insert(type_name.to_string(), Arc::clone(&rt));
-                rt
-            }
-        };
-        let mut prealloc: Vec<(usize, FieldData)> = Vec::new();
-        let mut total = 0u64;
-        for (slot, fs) in rt.fields.iter().enumerate() {
-            let def = st.schema.field(&fs.field)?;
-            if let DeclaredSize::Known(bytes) = def.size {
-                prealloc.push((slot, FieldData::zeroed(def.kind, bytes)?));
-                total += bytes;
-            }
-        }
-        Ok((rt, prealloc, total))
-    }
-
-    /// Install a prepared record and return its id. Safe to call with
-    /// the unit-table lock held (lock order units → store).
+    /// Create a record of the committed type `type_name` with its
+    /// known-size buffers zeroed (§3.1: "If a field's size is not
+    /// UNKNOWN, its data buffer will be allocated when the new record is
+    /// created"). Returns the id, the type and the bytes to charge.
+    /// Safe to call with the unit-table lock held (units → store).
     pub(crate) fn install_record(
         &self,
-        rt: Arc<RecordTypeDef>,
-        prealloc: Vec<(usize, FieldData)>,
-        unit: Option<&str>,
-    ) -> RecordId {
-        use crate::buffer::FieldBuffer;
+        type_name: &str,
+        unit: Option<&Arc<UnitTag>>,
+    ) -> Result<(RecordId, Arc<RecordTypeDef>, u64)> {
         let mut st = self.lock();
-        let id = st.next_record;
-        st.next_record += 1;
-        let mut fields: Vec<Option<FieldRef>> = vec![None; rt.fields.len()];
-        for (slot, data) in prealloc {
-            fields[slot] = Some(FieldBuffer::new(data));
+        let rt = Arc::clone(st.schema.committed_record(type_name)?);
+        let mut total = 0u64;
+        let mut fields = Vec::with_capacity(rt.fields.len());
+        for fs in &rt.fields {
+            fields.push(match fs.size {
+                DeclaredSize::Known(bytes) => {
+                    total += bytes;
+                    Some(FieldBuffer::new(FieldData::zeroed(fs.kind, bytes)?))
+                }
+                DeclaredSize::Unknown => None,
+            });
         }
-        st.records.insert(
-            id,
-            RecordEntry {
-                rt,
-                fields,
-                committed: false,
-                key: None,
-                unit: unit.map(str::to_string),
-            },
-        );
-        id
+        let id = st.insert(RecordEntry {
+            rt: Arc::clone(&rt),
+            fields,
+            key: None,
+            unit: unit.cloned(),
+        });
+        Ok((id, rt, total))
     }
 
     /// Re-install a record decoded from a spill frame, restoring its
@@ -160,66 +243,41 @@ impl Store {
     /// with the unit-table lock held (lock order units → store).
     pub(crate) fn restore_record(
         &self,
-        type_name: &str,
-        committed: bool,
-        key: Option<Vec<Key>>,
-        fields: Vec<Option<FieldData>>,
-        unit: &str,
+        frame: RecordFrame,
+        unit: &Arc<UnitTag>,
     ) -> Result<RecordId> {
-        use crate::buffer::FieldBuffer;
-        let mut st = self.lock();
-        let rt = match st.committed_types.get(type_name) {
-            Some(rt) => Arc::clone(rt),
-            None => {
-                let def = st.schema.committed_record(type_name)?.clone();
-                let rt = Arc::new(def);
-                st.committed_types
-                    .insert(type_name.to_string(), Arc::clone(&rt));
-                rt
-            }
-        };
-        if fields.len() != rt.fields.len() {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let rt = Arc::clone(st.schema.committed_record(&frame.type_name)?);
+        if frame.fields.len() != rt.fields.len() {
             return Err(GodivaError::TypeMismatch(format!(
-                "spill frame for record type '{type_name}' has {} field slots, schema has {}",
-                fields.len(),
+                "spill frame for record type '{}' has {} field slots, schema has {}",
+                rt.name,
+                frame.fields.len(),
                 rt.fields.len()
             )));
         }
-        if committed {
-            if let Some(key) = &key {
-                let idx = st.index.entry(type_name.to_string()).or_default();
-                if let Some(existing) = idx.get(key) {
-                    return Err(GodivaError::DuplicateKey(format!(
-                        "record type '{type_name}': key {key:?} already identifies record \
-                         #{existing}"
-                    )));
-                }
+        let key = frame.key.filter(|_| frame.committed);
+        if let Some(key) = &key {
+            let taken = st.index.get(rt.id).and_then(|idx| idx.get(key.as_bytes()));
+            if let Some(&existing) = taken {
+                return Err(duplicate(&rt, key, existing));
             }
         }
-        let id = st.next_record;
-        st.next_record += 1;
-        let fields: Vec<Option<FieldRef>> = fields
+        let fields = frame
+            .fields
             .into_iter()
             .map(|slot| slot.map(FieldBuffer::new))
             .collect();
-        if committed {
-            if let Some(key) = &key {
-                st.index
-                    .entry(type_name.to_string())
-                    .or_default()
-                    .insert(key.clone(), id);
-            }
+        let id = st.insert(RecordEntry {
+            rt: Arc::clone(&rt),
+            fields,
+            key: key.clone(),
+            unit: Some(Arc::clone(unit)),
+        });
+        if let Some(key) = key {
+            index_of(&mut st.index, rt.id).insert(key, id);
         }
-        st.records.insert(
-            id,
-            RecordEntry {
-                rt,
-                fields,
-                committed,
-                key,
-                unit: Some(unit.to_string()),
-            },
-        );
         Ok(id)
     }
 
@@ -227,21 +285,63 @@ impl Store {
     /// the units layer with its lock held (lock order units → store)
     /// when a unit is evicted, deleted or rolled back.
     pub(crate) fn remove_records(&self, ids: &[RecordId]) {
-        let mut st = self.lock();
+        let mut guard = self.lock();
+        let st = &mut *guard;
         for rid in ids {
             if let Some(rec) = st.records.remove(rid) {
-                if let Some(key) = rec.key {
-                    if let Some(idx) = st.index.get_mut(&rec.rt.name) {
-                        idx.remove(&key);
-                    }
+                if let (Some(key), Some(idx)) = (rec.key, st.index.get_mut(rec.rt.id)) {
+                    idx.remove(key.as_bytes());
                 }
             }
         }
     }
 
+    /// Make `data` the contents of field `slot` of record `id`; returns
+    /// the buffer handle and the byte length it held before. The caller
+    /// (a [`crate::RecordHandle`]) has checked `data` against the slot's
+    /// definition and holds the unit-table lock, under which it accounts
+    /// the difference.
+    pub(crate) fn set_field(
+        &self,
+        id: RecordId,
+        slot: usize,
+        data: FieldData,
+    ) -> Result<(FieldRef, u64)> {
+        let mut st = self.lock();
+        let rec = st.records.get_mut(&id).ok_or_else(|| no_record(id))?;
+        let def = &rec.rt.fields[slot];
+        if rec.key.is_some() && def.is_key {
+            return Err(GodivaError::TypeMismatch(format!(
+                "field '{}' is a key field of a committed record and cannot be changed",
+                def.field
+            )));
+        }
+        Ok(match &rec.fields[slot] {
+            Some(buf) => (Arc::clone(buf), buf.replace(data).byte_len()),
+            None => {
+                let buf = FieldBuffer::new(data);
+                rec.fields[slot] = Some(Arc::clone(&buf));
+                (buf, 0)
+            }
+        })
+    }
+
+    /// The buffer of field `slot` of record `id` (must be allocated).
+    pub(crate) fn field(&self, id: RecordId, slot: usize) -> Result<FieldRef> {
+        let st = self.lock();
+        let rec = st.records.get(&id).ok_or_else(|| no_record(id))?;
+        rec.fields[slot]
+            .clone()
+            .ok_or_else(|| GodivaError::Unallocated {
+                field: rec.rt.fields[slot].field.clone(),
+            })
+    }
+
     /// Snapshot the key fields of `id` and insert it into the index.
     /// When a `wal` is active the commit is journaled (the WAL lock is
-    /// innermost, so appending under the store lock is safe).
+    /// innermost, so appending under the store lock is safe). `tracer`
+    /// is the database's per-record tracer: it also decides whether the
+    /// journal append is traced.
     pub(crate) fn commit_record(
         &self,
         metrics: &GboMetrics,
@@ -249,47 +349,39 @@ impl Store {
         wal: Option<&Wal>,
         id: RecordId,
     ) -> Result<()> {
-        let mut st = self.lock();
-        let rec = st
-            .records
-            .get(&id)
-            .ok_or_else(|| GodivaError::NotFound(format!("record #{id}")))?;
-        if rec.committed {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let rec = st.records.get_mut(&id).ok_or_else(|| no_record(id))?;
+        if rec.key.is_some() {
             return Ok(());
         }
-        let mut key = Vec::new();
-        for (slot, fs) in rec.rt.fields.iter().enumerate() {
+        st.scratch.clear();
+        for (fs, buf) in rec.rt.fields.iter().zip(&rec.fields) {
             if !fs.is_key {
                 continue;
             }
-            let buf = rec.fields[slot]
-                .as_ref()
-                .ok_or_else(|| GodivaError::Unallocated {
-                    field: fs.field.clone(),
-                })?;
-            key.push(Key(buf.data().key_bytes()));
+            let buf = buf.as_ref().ok_or_else(|| GodivaError::Unallocated {
+                field: fs.field.clone(),
+            })?;
+            let data = buf.data();
+            st.scratch
+                .extend_from_slice(&(data.byte_len() as u32).to_le_bytes());
+            data.extend_le_bytes(&mut st.scratch);
         }
-        let type_name = rec.rt.name.clone();
-        let idx = st.index.entry(type_name.clone()).or_default();
-        if let Some(existing) = idx.get(&key) {
-            return Err(GodivaError::DuplicateKey(format!(
-                "record type '{type_name}': key {key:?} already identifies record #{existing}"
-            )));
+        let idx = index_of(&mut st.index, rec.rt.id);
+        if let Some((key, &existing)) = idx.get_key_value(st.scratch.as_slice()) {
+            return Err(duplicate(&rec.rt, key, existing));
         }
+        let key = EncodedKey::new(&st.scratch);
         idx.insert(key.clone(), id);
-        let rec = st.records.get_mut(&id).expect("present");
-        rec.committed = true;
-        let unit = rec.unit.clone();
-        rec.key = Some(key.clone());
+        rec.key = Some(key);
         if let Some(wal) = wal {
-            wal.append(
+            wal.append_commit(
                 metrics,
                 tracer,
-                &WalEntry::RecordCommitted {
-                    unit,
-                    type_name: type_name.clone(),
-                    key: key.into_iter().map(|k| k.0).collect(),
-                },
+                rec.unit.as_ref().map(|u| u.name.as_str()),
+                &rec.rt,
+                &st.scratch,
             );
         }
         metrics.records_committed.inc();
@@ -297,52 +389,50 @@ impl Store {
             tracer.instant(
                 "gbo",
                 "record_commit",
-                vec![("type", type_name.into()), ("record", id.into())],
+                vec![("type", rec.rt.name.as_str().into()), ("record", id.into())],
             );
         }
         Ok(())
     }
 
-    /// Key lookup. Returns the buffer handle plus the owning unit's name
-    /// so the caller can touch that unit's LRU clock — the store lock is
-    /// released before the caller takes the unit-table lock.
+    /// Key lookup, stamping the owning unit as used at `clock`'s next
+    /// tick. `tracer` is the database's per-record tracer.
     pub(crate) fn lookup(
         &self,
         metrics: &GboMetrics,
         tracer: &Tracer,
+        clock: &AtomicU64,
         record_type: &str,
         field: &str,
         keys: &[Key],
-    ) -> Result<(FieldRef, Option<String>)> {
-        let st = self.lock();
+    ) -> Result<FieldRef> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
         metrics.queries.inc();
-        let Some(&id) = st
-            .index
-            .get(record_type)
-            .and_then(|idx| idx.get(&keys.to_vec()))
-        else {
-            metrics.query_misses.inc();
-            if tracer.enabled() {
-                tracer.instant(
-                    "gbo",
-                    "key_lookup",
-                    vec![("type", record_type.into()), ("hit", false.into())],
-                );
+        let rt = st.schema.committed_record(record_type);
+        let id = rt.as_ref().ok().and_then(|rt| {
+            st.scratch.clear();
+            for k in keys {
+                put_bytes(&mut st.scratch, &k.0);
             }
-            // Distinguish "unknown type" from "no such key" for callers.
-            st.schema.committed_record(record_type)?;
-            return Err(GodivaError::NotFound(format!(
-                "record type '{record_type}' has no record with key {keys:?}"
-            )));
-        };
+            st.index.get(rt.id)?.get(st.scratch.as_slice())
+        });
         if tracer.enabled() {
             tracer.instant(
                 "gbo",
                 "key_lookup",
-                vec![("type", record_type.into()), ("hit", true.into())],
+                vec![("type", record_type.into()), ("hit", id.is_some().into())],
             );
         }
-        let rec = st.records.get(&id).expect("index points at live record");
+        let Some(id) = id else {
+            metrics.query_misses.inc();
+            // Distinguish "unknown type" from "no such key" for callers.
+            rt?;
+            return Err(GodivaError::NotFound(format!(
+                "record type '{record_type}' has no record with key {keys:?}"
+            )));
+        };
+        let rec = st.records.get(id).expect("index points at live record");
         let slot = rec
             .rt
             .slot(field)
@@ -355,6 +445,9 @@ impl Store {
             .ok_or_else(|| GodivaError::Unallocated {
                 field: field.to_string(),
             })?;
-        Ok((buf, rec.unit.clone()))
+        if let Some(unit) = &rec.unit {
+            unit.touch(clock);
+        }
+        Ok(buf)
     }
 }

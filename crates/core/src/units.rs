@@ -1,8 +1,9 @@
 //! The unit layer — unit table, reference counts, LRU clock, prefetch
 //! queue and the memory budget.
 //!
-//! Everything here sits behind one lock (`Units::state`), which is also
-//! the lock both condition variables are tied to: `unit_cv` wakes
+//! Everything here but the LRU clock and the per-unit stamps (relaxed
+//! atomics, see [`UnitTag`]) sits behind one lock (`Units::state`),
+//! which is also the lock both condition variables are tied to: `unit_cv` wakes
 //! waiters on unit state changes, `work_cv` wakes I/O workers when the
 //! queue or the budget changes. The record store has its *own* lock;
 //! the order is always **units → store** (eviction holds the unit lock
@@ -24,6 +25,7 @@ use crate::wal::{Wal, WalEntry};
 use godiva_obs::Tracer;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where an allocation request comes from; decides its blocking
@@ -52,15 +54,34 @@ impl AllocCtx {
     }
 }
 
+/// What a unit's table entry shares with its records, their handles
+/// and its read session: the name — so no record operation copies it —
+/// and the LRU stamp, which a key lookup sets under the store lock
+/// alone. Stamp and clock are `Relaxed`: they rank eviction candidates
+/// and publish nothing.
+pub(crate) struct UnitTag {
+    pub(crate) name: String,
+    /// LRU clock value of the most recent access.
+    last_access: AtomicU64,
+}
+
+impl UnitTag {
+    /// Stamp the unit as used now, advancing `clock`; returns the stamp.
+    pub(crate) fn touch(&self, clock: &AtomicU64) -> u64 {
+        let now = clock.fetch_add(1, Ordering::Relaxed) + 1;
+        self.last_access.store(now, Ordering::Relaxed);
+        now
+    }
+}
+
 pub(crate) struct UnitEntry {
+    pub(crate) tag: Arc<UnitTag>,
     pub(crate) reader: Option<ReadFn>,
     pub(crate) state: UnitState,
     pub(crate) records: Vec<RecordId>,
     pub(crate) refcount: usize,
     /// Bytes charged by this unit's records.
     pub(crate) bytes: u64,
-    /// LRU clock value of the most recent access.
-    pub(crate) last_access: u64,
     /// Monotonic sequence assigned when the unit finished loading (FIFO
     /// eviction order).
     pub(crate) loaded_seq: u64,
@@ -79,19 +100,28 @@ pub(crate) struct UnitEntry {
 }
 
 impl UnitEntry {
-    pub(crate) fn new(reader: Option<ReadFn>, state: UnitState, priority: i64) -> Self {
+    pub(crate) fn new(name: &str, reader: Option<ReadFn>, state: UnitState, priority: i64) -> Self {
         UnitEntry {
+            tag: Arc::new(UnitTag {
+                name: name.to_string(),
+                last_access: AtomicU64::new(0),
+            }),
             reader,
             state,
             records: Vec::new(),
             refcount: 0,
             bytes: 0,
-            last_access: 0,
             loaded_seq: 0,
             priority,
             reading_worker: None,
             loaded_by: 0,
         }
+    }
+
+    /// Stamp a completed load on the LRU clock (`loaded_seq` also
+    /// marks the unit as having been loaded once, across evictions).
+    pub(crate) fn mark_loaded(&mut self, clock: &AtomicU64) {
+        self.loaded_seq = self.tag.touch(clock);
     }
 
     pub(crate) fn evictable(&self) -> bool {
@@ -107,7 +137,6 @@ pub(crate) struct UnitsState {
     pub(crate) queue: Box<dyn QueuePolicy>,
     pub(crate) mem_used: u64,
     pub(crate) mem_limit: u64,
-    pub(crate) clock: u64,
     /// Executor workers currently blocked waiting for memory, keyed by
     /// worker id, with the bytes each needs. The deadlock check
     /// re-verifies the shortage against these needs, so a stale entry
@@ -118,14 +147,6 @@ pub(crate) struct UnitsState {
 }
 
 impl UnitsState {
-    pub(crate) fn touch(&mut self, unit: &str) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(u) = self.units.get_mut(unit) {
-            u.last_access = clock;
-        }
-    }
-
     pub(crate) fn has_evictable(&self) -> bool {
         self.units.values().any(|u| u.evictable())
     }
@@ -145,6 +166,8 @@ impl UnitsState {
 /// through.
 pub(crate) struct Units {
     pub(crate) state: Mutex<UnitsState>,
+    /// The LRU clock: ticks on every unit access (wait, load, lookup).
+    pub(crate) clock: AtomicU64,
     /// Signaled on unit state changes and on blocked-worker
     /// transitions; `wait_unit` waits here.
     pub(crate) unit_cv: Condvar,
@@ -180,10 +203,10 @@ impl Units {
                 queue,
                 mem_used: 0,
                 mem_limit,
-                clock: 0,
                 blocked_workers: BTreeMap::new(),
                 shutdown: false,
             }),
+            clock: AtomicU64::new(0),
             unit_cv: Condvar::new(),
             work_cv: Condvar::new(),
             eviction,
@@ -227,7 +250,7 @@ impl Units {
         tracer: &Tracer,
         bytes: u64,
         ctx: AllocCtx,
-        unit: Option<&str>,
+        unit: Option<&UnitTag>,
     ) -> Result<()> {
         loop {
             if st.shutdown && matches!(ctx, AllocCtx::Worker(_)) {
@@ -244,7 +267,7 @@ impl Units {
             // budget; proceed over budget rather than hang (the paper
             // assumes one unit always fits).
             let own = unit
-                .and_then(|u| st.units.get(u))
+                .and_then(|u| st.units.get(&u.name))
                 .map(|u| u.bytes)
                 .unwrap_or(0);
             if st.mem_used.saturating_sub(own) == 0 {
@@ -276,7 +299,7 @@ impl Units {
         st.mem_used += bytes;
         metrics.bytes_allocated.add(bytes);
         metrics.mem.set(st.mem_used);
-        if let Some(u) = unit.and_then(|u| st.units.get_mut(u)) {
+        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
             u.bytes += bytes;
         }
         Ok(())
@@ -288,16 +311,17 @@ impl Units {
         st: &mut UnitsState,
         metrics: &GboMetrics,
         bytes: u64,
-        unit: Option<&str>,
+        unit: Option<&UnitTag>,
     ) {
+        if bytes == 0 {
+            return;
+        }
         st.mem_used = st.mem_used.saturating_sub(bytes);
         metrics.mem.set(st.mem_used);
-        if let Some(u) = unit.and_then(|u| st.units.get_mut(u)) {
+        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
             u.bytes = u.bytes.saturating_sub(bytes);
         }
-        if bytes > 0 {
-            self.work_cv.notify_all();
-        }
+        self.work_cv.notify_all();
     }
 
     /// Evict one finished, unpinned unit according to the policy.
@@ -309,39 +333,37 @@ impl Units {
         metrics: &GboMetrics,
         tracer: &Tracer,
     ) -> bool {
-        let candidate = st
-            .units
-            .iter()
-            .filter(|(_, u)| u.evictable())
-            .min_by_key(|(_, u)| match self.eviction {
-                EvictionPolicy::Lru => u.last_access,
-                EvictionPolicy::Fifo => u.loaded_seq,
-            })
-            .map(|(name, _)| name.clone());
-        let Some(name) = candidate else {
+        let candidate =
+            st.units
+                .values()
+                .filter(|u| u.evictable())
+                .min_by_key(|u| match self.eviction {
+                    EvictionPolicy::Lru => u.tag.last_access.load(Ordering::Relaxed),
+                    EvictionPolicy::Fifo => u.loaded_seq,
+                });
+        let Some(victim) = candidate else {
             return false;
         };
+        let tag = Arc::clone(&victim.tag);
+        let name = tag.name.as_str();
         // Spill the unit's buffers before they are dropped, atomically
         // with the eviction (both happen under the units lock, so a
         // concurrent reader can never observe "evicted but not yet
         // spilled"). Empty units have nothing worth a file.
         if let Some(spill) = &self.spill {
-            let records = st
-                .units
-                .get(&name)
-                .map(|u| u.records.clone())
-                .unwrap_or_default();
-            if !records.is_empty() {
-                if let Some(frame) = crate::spill::encode_unit(store, &name, &records) {
-                    spill.store_unit(metrics, tracer, &name, frame);
+            if !victim.records.is_empty() {
+                if let Some(frame) = crate::spill::encode_unit(store, name, &victim.records) {
+                    spill.store_unit(metrics, tracer, name, frame);
                 }
             }
         }
-        let freed = self.drop_unit_data(st, store, metrics, &name);
+        let freed = self.drop_unit_data(st, store, metrics, name);
         self.journal(
             metrics,
             tracer,
-            WalEntry::UnitEvicted { unit: name.clone() },
+            WalEntry::UnitEvicted {
+                unit: name.to_string(),
+            },
         );
         metrics.evictions.inc();
         metrics.bytes_evicted.add(freed);
@@ -350,7 +372,7 @@ impl Units {
                 "gbo",
                 "unit_evicted",
                 vec![
-                    ("unit", name.as_str().into()),
+                    ("unit", name.into()),
                     ("freed_bytes", freed.into()),
                     // Post-eviction occupancy: an occupancy-timeline
                     // sample for trace analytics (godiva-report).
@@ -408,7 +430,7 @@ impl Units {
             None => {
                 st.units.insert(
                     name.to_string(),
-                    UnitEntry::new(Some(reader), UnitState::Queued, priority),
+                    UnitEntry::new(name, Some(reader), UnitState::Queued, priority),
                 );
             }
             Some(entry) => match entry.state {

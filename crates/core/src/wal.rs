@@ -47,7 +47,8 @@
 //!   appended before the call, and the rest skip.
 
 use crate::metrics::GboMetrics;
-use crate::spill::{sanitize, xxh64, Reader};
+use crate::schema::RecordTypeDef;
+use crate::spill::{put_bytes, sanitize, xxh64, Reader};
 use godiva_obs::Tracer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -177,11 +178,6 @@ impl WalEntry {
 // encode / decode
 // ---------------------------------------------------------------------------
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
 fn encode_entry(out: &mut Vec<u8>, entry: &WalEntry) {
     match entry {
         WalEntry::UnitAdded { unit } => {
@@ -223,21 +219,34 @@ fn encode_entry(out: &mut Vec<u8>, entry: &WalEntry) {
             type_name,
             key,
         } => {
-            out.push(8);
-            match unit {
-                Some(u) => {
-                    out.push(1);
-                    put_bytes(out, u.as_bytes());
-                }
-                None => out.push(0),
-            }
-            put_bytes(out, type_name.as_bytes());
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            for k in key {
-                put_bytes(out, k);
-            }
+            let mut parts = Vec::new();
+            key.iter().for_each(|k| put_bytes(&mut parts, k));
+            encode_commit(out, unit.as_deref(), type_name, key.len(), &parts);
         }
     }
+}
+
+/// A `RecordCommitted` entry from borrowed parts — what the commit path
+/// journals without building the owned entry. `key` is the `key_count`
+/// key fields as the index stores them (`u32` length + bytes each).
+fn encode_commit(
+    out: &mut Vec<u8>,
+    unit: Option<&str>,
+    type_name: &str,
+    key_count: usize,
+    key: &[u8],
+) {
+    out.push(8);
+    match unit {
+        Some(u) => {
+            out.push(1);
+            put_bytes(out, u.as_bytes());
+        }
+        None => out.push(0),
+    }
+    put_bytes(out, type_name.as_bytes());
+    out.extend_from_slice(&(key_count as u32).to_le_bytes());
+    out.extend_from_slice(key);
 }
 
 fn decode_entry(r: &mut Reader) -> Option<WalEntry> {
@@ -275,15 +284,17 @@ fn decode_entry(r: &mut Reader) -> Option<WalEntry> {
     })
 }
 
-fn encode_record(lsn: u64, entry: &WalEntry) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    body.extend_from_slice(&lsn.to_le_bytes());
-    encode_entry(&mut body, entry);
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&xxh64(&body, WAL_SEED).to_le_bytes());
-    out
+/// Frame one record into `out` (cleared first): length prefix, LSN, the
+/// entry as `encode` writes it, checksum.
+fn encode_record(out: &mut Vec<u8>, lsn: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    encode(out);
+    let body_len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&body_len.to_le_bytes());
+    let sum = xxh64(&out[4..], WAL_SEED);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 /// One decoded log record with its position in the file.
@@ -439,7 +450,8 @@ pub fn replay(scan: &LogScan) -> Replay {
 /// store lock, and the writer never takes any other lock.
 pub(crate) struct Wal {
     file: File,
-    next_lsn: Mutex<u64>,
+    /// The next LSN and the buffer each record is framed in.
+    writer: Mutex<(u64, Vec<u8>)>,
     /// Highest LSN whose bytes reached the file (Release-stored under
     /// the write lock, so an fsync that loads it afterwards covers it).
     appended_lsn: AtomicU64,
@@ -484,7 +496,7 @@ impl Wal {
     fn from_file(file: File, next_lsn: u64, sync_each: bool) -> Wal {
         Wal {
             file,
-            next_lsn: Mutex::new(next_lsn),
+            writer: Mutex::new((next_lsn, Vec::new())),
             appended_lsn: AtomicU64::new(next_lsn.saturating_sub(1)),
             synced_lsn: AtomicU64::new(0),
             sync_lock: Mutex::new(()),
@@ -511,17 +523,45 @@ impl Wal {
     /// concurrent committers). Errors poison the log rather than fail
     /// the caller's lifecycle operation.
     pub(crate) fn append(&self, metrics: &GboMetrics, tracer: &Tracer, entry: &WalEntry) {
+        self.append_with(metrics, tracer, entry.kind(), |out| {
+            encode_entry(out, entry)
+        });
+    }
+
+    /// [`Wal::append`] of a `RecordCommitted` entry, from the store's own
+    /// data: the owning unit, the record type and the encoded key.
+    pub(crate) fn append_commit(
+        &self,
+        metrics: &GboMetrics,
+        tracer: &Tracer,
+        unit: Option<&str>,
+        rt: &RecordTypeDef,
+        key: &[u8],
+    ) {
+        self.append_with(metrics, tracer, "record_committed", |out| {
+            encode_commit(out, unit, &rt.name, rt.declared_keys, key)
+        });
+    }
+
+    fn append_with(
+        &self,
+        metrics: &GboMetrics,
+        tracer: &Tracer,
+        kind: &'static str,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
         let lsn;
         let len;
         {
-            let mut next = self.next_lsn.lock();
+            let mut writer = self.writer.lock();
+            let (next, rec) = &mut *writer;
             lsn = *next;
-            let rec = encode_record(lsn, entry);
+            encode_record(rec, lsn, encode);
             len = rec.len() as u64;
-            if let Err(e) = (&self.file).write_all(&rec) {
+            if let Err(e) = (&self.file).write_all(rec) {
                 self.poison("append", &e);
                 return;
             }
@@ -536,7 +576,7 @@ impl Wal {
                 "wal_append",
                 vec![
                     ("lsn", lsn.into()),
-                    ("kind", entry.kind().into()),
+                    ("kind", kind.into()),
                     ("bytes", len.into()),
                 ],
             );

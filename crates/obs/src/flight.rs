@@ -6,9 +6,22 @@
 //! path as the file sinks; the database installs one by default (see
 //! `GboConfig::flight_recorder`) so that even an otherwise untraced run
 //! leaves a record of its final moments. Recording is O(1) per event —
-//! one short mutex hold, one `VecDeque` push (plus a pop once full) —
+//! one short mutex hold, one `VecDeque` push (plus a pop once full) of
+//! the event itself, handed over by value ([`TraceSink::emit_owned`]) —
 //! and the buffer is bounded, so it is always cheap and can stay on in
 //! production (the `ablation_monitoring` experiment measures the cost).
+//!
+//! # What the ring holds
+//!
+//! On a run with a tracer attached: the tail of the trace's `gbo`
+//! events, per-record ones (`record_commit`, `key_lookup`, a record
+//! commit's `wal_append`) included. On an untraced run the database
+//! emits no per-record events at all, so the ring holds unit
+//! lifecycles, spill and WAL lifecycle, faults, deadlocks and watchdog
+//! stalls: 5–8 events per unit, i.e. the default 4096 slots span the
+//! last 500–800 units. (With per-record events in it, one 120-record
+//! unit looked up once per field filled ≥ 360 slots and the ring
+//! spanned 11 units.)
 //!
 //! # Post-mortem dump format
 //!
@@ -33,7 +46,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default ring capacity the database installs: enough for the last few
-/// hundred unit lifecycles while staying well under a megabyte.
+/// hundred unit lifecycles (see "What the ring holds" in the module
+/// docs) while staying well under a megabyte.
 pub const DEFAULT_FLIGHT_RECORDER_CAPACITY: usize = 4096;
 
 /// A bounded ring-buffer [`TraceSink`] holding the most recent events.
@@ -130,12 +144,16 @@ impl FlightRecorder {
 
 impl TraceSink for FlightRecorder {
     fn emit(&self, event: &TraceEvent) {
+        self.emit_owned(event.clone());
+    }
+
+    fn emit_owned(&self, event: TraceEvent) {
         let mut ring = self.ring.lock();
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(event.clone());
+        ring.push_back(event);
     }
 }
 

@@ -24,6 +24,13 @@ use std::sync::Arc;
 pub trait TraceSink: Send + Sync {
     /// Record one event.
     fn emit(&self, event: &TraceEvent);
+    /// Record one event the caller is done with. The tracer hands every
+    /// event in this way; a sink that keeps events overrides it to keep
+    /// this one instead of a deep copy (its `Vec` of arguments and their
+    /// `String`s). Defaults to [`TraceSink::emit`].
+    fn emit_owned(&self, event: TraceEvent) {
+        self.emit(&event);
+    }
     /// Flush buffered output (no-op by default).
     fn flush(&self) {}
     /// Write any trailing bytes the format needs and flush. Idempotent;
@@ -76,7 +83,11 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn emit(&self, event: &TraceEvent) {
-        self.events.lock().push(event.clone());
+        self.emit_owned(event.clone());
+    }
+
+    fn emit_owned(&self, event: TraceEvent) {
+        self.events.lock().push(event);
     }
 }
 
@@ -108,6 +119,22 @@ impl TraceSink for FanoutSink {
             if sink.is_enabled() {
                 sink.emit(event);
             }
+        }
+    }
+
+    /// The last child gets the event itself, the others a reference.
+    fn emit_owned(&self, event: TraceEvent) {
+        let Some((last, rest)) = self.sinks.split_last() else {
+            return;
+        };
+        let _order = self.order.lock();
+        for sink in rest {
+            if sink.is_enabled() {
+                sink.emit(&event);
+            }
+        }
+        if last.is_enabled() {
+            last.emit_owned(event);
         }
     }
 

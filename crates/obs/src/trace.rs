@@ -243,7 +243,7 @@ impl Tracer {
     #[inline]
     pub fn instant(&self, cat: &'static str, name: impl Into<Cow<'static, str>>, args: Args) {
         if let Some(inner) = &self.inner {
-            inner.sink.emit(&TraceEvent {
+            inner.sink.emit_owned(TraceEvent {
                 ts_us: inner.epoch.elapsed().as_micros() as u64,
                 dur_us: None,
                 cat,
@@ -265,7 +265,7 @@ impl Tracer {
     ) {
         if let Some(inner) = &self.inner {
             let now = inner.epoch.elapsed().as_micros() as u64;
-            inner.sink.emit(&TraceEvent {
+            inner.sink.emit_owned(TraceEvent {
                 ts_us: start_us,
                 dur_us: Some(now.saturating_sub(start_us)),
                 cat,
@@ -287,7 +287,7 @@ impl Tracer {
         args: Args,
     ) {
         if let Some(inner) = &self.inner {
-            inner.sink.emit(&TraceEvent {
+            inner.sink.emit_owned(TraceEvent {
                 ts_us: start_us,
                 dur_us: Some(dur_us),
                 cat,

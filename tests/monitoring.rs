@@ -2,7 +2,7 @@
 //! recorder's post-mortem dump, the live metrics HTTP exporter, and the
 //! trace-analytics attribution, all driven through real database runs.
 
-use godiva::core::{DeclaredSize, FieldKind, Gbo, GboConfig, UnitSession};
+use godiva::core::{DeclaredSize, FieldKind, Gbo, GboConfig, Key, UnitSession};
 use godiva::obs::{
     analyze_trace, parse_json, FlightRecorder, JsonValue, JsonlSink, MetricsRegistry,
     MetricsServer, Snapshotter, Tracer,
@@ -47,6 +47,23 @@ fn parsed_lines(text: &str, skip_header: bool) -> Vec<JsonValue> {
         .skip(usize::from(skip_header))
         .map(|l| parse_json(l).expect("valid JSON line"))
         .collect()
+}
+
+/// What `trace_check <trace> <dump>` verifies: the dump is a contiguous
+/// run of the full trace restricted to the events the recorder saw (the
+/// `gbo` category).
+fn assert_dump_is_a_run_of_the_trace(trace_text: &str, dump_events: &[JsonValue]) {
+    let gbo: Vec<JsonValue> = parsed_lines(trace_text, false)
+        .into_iter()
+        .filter(|v| v.get("cat").and_then(|c| c.as_str()) == Some("gbo"))
+        .collect();
+    let window = dump_events.len();
+    assert!(window <= gbo.len());
+    let position = (0..=gbo.len() - window).find(|&s| gbo[s..s + window] == dump_events[..]);
+    assert!(
+        position.is_some(),
+        "dump must be a contiguous run of the trace's gbo events"
+    );
 }
 
 #[test]
@@ -96,20 +113,10 @@ fn flight_recorder_dumps_postmortem_on_reader_panic() {
     );
     assert!(!dump_events.is_empty());
 
-    // The dump is a contiguous run of the full trace restricted to the
-    // events the recorder saw (the gbo category) — the lead-up to the
-    // panic, ending at the read_failed that reported it.
-    let gbo: Vec<JsonValue> = parsed_lines(&trace_text, false)
-        .into_iter()
-        .filter(|v| v.get("cat").and_then(|c| c.as_str()) == Some("gbo"))
-        .collect();
+    // The dump is the lead-up to the panic, ending at the read_failed
+    // that reported it.
+    assert_dump_is_a_run_of_the_trace(&trace_text, &dump_events);
     let window = dump_events.len();
-    assert!(window <= gbo.len());
-    let position = (0..=gbo.len() - window).find(|&s| gbo[s..s + window] == dump_events[..]);
-    assert!(
-        position.is_some(),
-        "dump must be a contiguous run of the trace's gbo events"
-    );
     // The tail shows the failure: the read_failed instant followed by
     // the closing read_unit span (ok=false), after which the dump fired.
     let last = dump_events.last().unwrap();
@@ -152,6 +159,99 @@ fn default_config_installs_a_flight_recorder() {
     let _ = std::fs::remove_file(&path);
     assert!(text.starts_with("{\"postmortem\":"));
     assert!(text.contains("operator_request"));
+}
+
+/// Run `units` units of 120 records through `db` — load, look every
+/// record up, delete — then fail one read, and return the parsed events
+/// of a post-mortem dump taken at the end.
+fn dump_after_record_heavy_run(db: &Gbo, units: usize) -> Vec<JsonValue> {
+    for u in 0..units {
+        let name = format!("u{u:03}");
+        let prefix = name.clone();
+        db.add_unit(&name, move |s: &UnitSession| {
+            for r in 0..120 {
+                let rec = s.new_record("rec")?;
+                rec.set_str("id", format!("{prefix}/{r}"))?;
+                rec.set_f64("payload", vec![r as f64])?;
+                rec.commit()?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        db.wait_unit(&name).unwrap();
+        for r in 0..120 {
+            let key = [Key::from(format!("{name}/{r}"))];
+            let buf = db.get_field_buffer("rec", "payload", &key).unwrap();
+            assert_eq!(buf.f64s().unwrap()[0], r as f64);
+        }
+        db.delete_unit(&name).unwrap();
+    }
+    db.add_unit("bad", |_s: &UnitSession| {
+        Err(godiva::core::GodivaError::UnitError("injected".into()))
+    })
+    .unwrap();
+    assert!(db.wait_unit("bad").is_err());
+    let path = db.dump_postmortem("operator_request").expect("dump path");
+    let text = std::fs::read_to_string(&path).unwrap();
+    parsed_lines(&text, true)
+}
+
+fn names_of(events: &[JsonValue]) -> Vec<&str> {
+    events
+        .iter()
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+        .collect()
+}
+
+/// Per-record events (`record_commit`, `key_lookup`) go to an attached
+/// tracer only. An untraced run's flight recorder therefore holds unit
+/// lifecycles — six events a unit here, so the default 4 096-slot ring
+/// covers this whole run, where the 246 events a unit used to cost
+/// covered sixteen units — and a traced run's dump is still a run of
+/// its trace, per-record events included.
+#[test]
+fn per_record_events_need_an_attached_tracer() {
+    let tag = format!("{}-{:?}", std::process::id(), std::thread::current().id());
+    let dump_path = std::env::temp_dir().join(format!("godiva-mon-policy-{tag}.jsonl"));
+    let config = || GboConfig {
+        background_io: false,
+        postmortem_path: Some(dump_path.clone()),
+        ..Default::default()
+    };
+
+    const UNITS: usize = 120;
+    let dump = dump_after_record_heavy_run(&payload_db(config()), UNITS);
+    let names = names_of(&dump);
+    assert!(!names.contains(&"record_commit") && !names.contains(&"key_lookup"));
+    let added: Vec<&str> = dump
+        .iter()
+        .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("unit_added"))
+        .filter_map(|e| e.get("args")?.get("unit")?.as_str())
+        .collect();
+    for u in UNITS - 100..UNITS {
+        assert!(added.contains(&format!("u{u:03}").as_str()), "unit {u}");
+    }
+    // What a post-mortem is read for is still there, and still last.
+    assert!(names.contains(&"unit_deleted") && names.contains(&"read_done"));
+    assert!(
+        names[names.len() - 3..].contains(&"read_failed"),
+        "{names:?}"
+    );
+
+    let trace_path = std::env::temp_dir().join(format!("godiva-mon-policy-trace-{tag}.jsonl"));
+    let dump = {
+        let db = payload_db(GboConfig {
+            tracer: Tracer::new(Arc::new(JsonlSink::create(&trace_path).unwrap())),
+            ..config()
+        });
+        dump_after_record_heavy_run(&db, 3)
+    }; // db + sink dropped: trace file flushed
+    let names = names_of(&dump);
+    assert_eq!(names.iter().filter(|n| **n == "record_commit").count(), 360);
+    assert_eq!(names.iter().filter(|n| **n == "key_lookup").count(), 360);
+    assert_dump_is_a_run_of_the_trace(&std::fs::read_to_string(&trace_path).unwrap(), &dump);
+    let _ = std::fs::remove_file(&trace_path);
+    let _ = std::fs::remove_file(&dump_path);
 }
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {

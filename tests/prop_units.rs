@@ -217,14 +217,25 @@ proptest! {
                 });
             }
         });
-        // At quiescence the exported gauge must agree with the queue,
-        // whatever mix of worker pops and failed/deadlocked waits
-        // drained it.
-        prop_assert_eq!(
-            registry.gauge("gbo.queue_depth").get(),
-            db.queue_len() as u64,
-            "queue gauge out of sync with the queue"
-        );
+        // The exported gauge must agree with the queue, whatever mix of
+        // worker pops and failed/deadlocked waits drained it. After a
+        // deadlocked wait returned early the workers may still be
+        // popping, so the two are compared once nothing moved between
+        // two consecutive reads of the pair (the queue only shrinks
+        // here, and the gauge is set under the lock `queue_len` takes).
+        let read = || (registry.gauge("gbo.queue_depth").get(), db.queue_len() as u64);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let mut pair = read();
+        loop {
+            let again = read();
+            if again == pair {
+                break;
+            }
+            pair = again;
+            prop_assert!(std::time::Instant::now() < deadline, "the queue never settled");
+            std::thread::yield_now();
+        }
+        prop_assert_eq!(pair.0, pair.1, "queue gauge out of sync with the queue");
         let stats = db.stats();
         // Worker allocations block instead of over-running the budget.
         prop_assert!(
