@@ -89,18 +89,10 @@ impl FieldData {
         match self {
             FieldData::Str(s) => out.extend_from_slice(s.as_bytes()),
             FieldData::Bytes(v) => out.extend_from_slice(v),
-            FieldData::F64(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            FieldData::F32(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            FieldData::I32(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            FieldData::I64(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+            FieldData::F64(v) => extend_le(out, v, f64::to_le_bytes),
+            FieldData::F32(v) => extend_le(out, v, f32::to_le_bytes),
+            FieldData::I32(v) => extend_le(out, v, i32::to_le_bytes),
+            FieldData::I64(v) => extend_le(out, v, i64::to_le_bytes),
         }
     }
 
@@ -109,6 +101,20 @@ impl FieldData {
         let mut out = Vec::with_capacity(self.byte_len() as usize);
         self.extend_le_bytes(&mut out);
         out
+    }
+}
+
+/// Append every element of `values` to `out` in one pass: grow once, then
+/// fill fixed-width chunks (no per-element capacity check).
+fn extend_le<T: Copy, const N: usize>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    let start = out.len();
+    out.resize(start + values.len() * N, 0);
+    for (dst, &x) in out[start..].chunks_exact_mut(N).zip(values) {
+        dst.copy_from_slice(&to_le(x));
     }
 }
 

@@ -446,7 +446,18 @@ fn encode_data(out: &mut Vec<u8>, data: &FieldData) {
 /// `None` when a record has vanished (nothing useful to spill).
 pub(crate) fn encode_unit(store: &Store, unit: &str, records: &[RecordId]) -> Option<Vec<u8>> {
     let st = store.lock();
-    let mut out = Vec::new();
+    // Size the frame before writing it: one allocation and no regrowth
+    // while the units and store locks are held.
+    let mut len = MAGIC.len() + 1 + 4 + unit.len() + 4 + 8;
+    for rid in records {
+        let rec = st.records.get(rid)?;
+        let key = rec.key.as_ref().map_or(0, |k| 4 + k.as_bytes().len());
+        len += 4 + rec.rt.name.len() + 2 + key + 4;
+        for slot in &rec.fields {
+            len += 1 + slot.as_ref().map_or(0, |buf| 9 + buf.byte_len() as usize);
+        }
+    }
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     put_bytes(&mut out, unit.as_bytes());
@@ -534,48 +545,26 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Little-endian elements of `payload`, or `None` when its length is
+/// not a multiple of the element size.
+fn le_vec<T, const N: usize>(payload: &[u8], from_le: impl Fn([u8; N]) -> T) -> Option<Vec<T>> {
+    if !payload.len().is_multiple_of(N) {
+        return None;
+    }
+    let elem = |c: &[u8]| from_le(c.try_into().expect("chunks_exact(N)"));
+    Some(payload.chunks_exact(N).map(elem).collect())
+}
+
 fn decode_data(r: &mut Reader) -> Option<FieldData> {
     let tag = r.u8()?;
     let len = r.u64()? as usize;
     let payload = r.take(len)?;
-    let chunks8 = |p: &[u8]| -> Option<Vec<[u8; 8]>> {
-        if !p.len().is_multiple_of(8) {
-            return None;
-        }
-        Some(p.chunks_exact(8).map(|c| c.try_into().unwrap()).collect())
-    };
-    let chunks4 = |p: &[u8]| -> Option<Vec<[u8; 4]>> {
-        if !p.len().is_multiple_of(4) {
-            return None;
-        }
-        Some(p.chunks_exact(4).map(|c| c.try_into().unwrap()).collect())
-    };
     Some(match tag {
         0 => FieldData::Str(String::from_utf8(payload.to_vec()).ok()?),
-        1 => FieldData::F64(
-            chunks8(payload)?
-                .into_iter()
-                .map(f64::from_le_bytes)
-                .collect(),
-        ),
-        2 => FieldData::F32(
-            chunks4(payload)?
-                .into_iter()
-                .map(f32::from_le_bytes)
-                .collect(),
-        ),
-        3 => FieldData::I32(
-            chunks4(payload)?
-                .into_iter()
-                .map(i32::from_le_bytes)
-                .collect(),
-        ),
-        4 => FieldData::I64(
-            chunks8(payload)?
-                .into_iter()
-                .map(i64::from_le_bytes)
-                .collect(),
-        ),
+        1 => FieldData::F64(le_vec(payload, f64::from_le_bytes)?),
+        2 => FieldData::F32(le_vec(payload, f32::from_le_bytes)?),
+        3 => FieldData::I32(le_vec(payload, i32::from_le_bytes)?),
+        4 => FieldData::I64(le_vec(payload, i64::from_le_bytes)?),
         5 => FieldData::Bytes(payload.to_vec()),
         _ => return None,
     })
@@ -929,5 +918,134 @@ mod tests {
         assert!(decode_unit(&out, "u2").is_none());
         // Truncation is a decode failure.
         assert!(decode_unit(&out[..out.len() - 9], "u1").is_none());
+    }
+
+    /// One unit holding every `FieldKind`, edge values included.
+    fn every_kind_unit(db: &crate::Gbo) -> Vec<RecordId> {
+        use crate::schema::DeclaredSize;
+        db.add_unit("pin/unit 1", |s: &crate::UnitSession| {
+            for (name, kind) in [
+                ("id", FieldKind::I64),
+                ("label", FieldKind::Str),
+                ("f64s", FieldKind::F64),
+                ("f32s", FieldKind::F32),
+                ("i32s", FieldKind::I32),
+                ("i64s", FieldKind::I64),
+                ("bytes", FieldKind::Bytes),
+                ("never_set", FieldKind::F64),
+            ] {
+                s.define_field(name, kind, DeclaredSize::Unknown)?;
+            }
+            s.define_record("every", 2)?;
+            s.insert_field("every", "id", true)?;
+            s.insert_field("every", "label", true)?;
+            for name in ["f64s", "f32s", "i32s", "i64s", "bytes", "never_set"] {
+                s.insert_field("every", name, false)?;
+            }
+            s.commit_record_type("every")?;
+            let full = s.new_record("every")?;
+            full.set_i64("id", vec![i64::MIN])?;
+            full.set_str("label", "héllo \0 wörld")?;
+            full.set_f64("f64s", vec![f64::NAN, -0.0, 1.5, f64::MIN_POSITIVE])?;
+            full.set_f32("f32s", vec![f32::INFINITY, -2.25, 0.0])?;
+            full.set_i32("i32s", vec![i32::MIN, -1, 0, i32::MAX])?;
+            full.set_i64("i64s", vec![i64::MIN, i64::MAX])?;
+            full.set_bytes("bytes", (0..=255).collect())?;
+            full.commit()?;
+            let empty = s.new_record("every")?;
+            empty.set_i64("id", vec![7])?;
+            empty.set_str("label", "")?;
+            empty.set_f64("f64s", vec![])?;
+            empty.set_f32("f32s", vec![])?;
+            empty.set_i32("i32s", vec![])?;
+            empty.set_i64("i64s", vec![])?;
+            empty.set_bytes("bytes", vec![])?;
+            empty.commit()?;
+            // Never committed: no key in the frame.
+            s.new_record("every")?.set_f64("f64s", vec![2.0; 9])
+        })
+        .unwrap();
+        db.wait_unit("pin/unit 1").unwrap();
+        let units = db.inner.units.lock();
+        units.units["pin/unit 1"].records.clone()
+    }
+
+    /// "Byte-identical frames" is a claim about the encoder, so it is
+    /// pinned: the length and checksum below were printed by the encoder
+    /// as it stood before frames were pre-sized and bulk-encoded.
+    #[test]
+    fn frame_bytes_are_pinned_and_roundtrip() {
+        let db = crate::Gbo::with_config(Default::default());
+        let records = every_kind_unit(&db);
+        let frame = encode_unit(&db.inner.store, "pin/unit 1", &records).unwrap();
+        assert_eq!(frame.capacity(), frame.len(), "sized once, exactly");
+        let (body, sum) = frame.split_at(frame.len() - 8);
+        assert_eq!(xxh64(body, 0).to_le_bytes(), sum);
+        assert_eq!(frame.len(), 725);
+        assert_eq!(sum, 0x8BD0_FDB4_3C38_71BC_u64.to_le_bytes());
+
+        let decoded = decode_unit(&frame, "pin/unit 1").expect("decodes");
+        assert_eq!(decoded.len(), 3);
+        let bits = |d: &Option<FieldData>| match d {
+            Some(FieldData::F64(v)) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            other => panic!("expected F64, got {other:?}"),
+        };
+        let full = &decoded[0];
+        assert!(full.committed && full.key.is_some());
+        assert_eq!(full.fields[0], Some(FieldData::I64(vec![i64::MIN])));
+        assert_eq!(
+            full.fields[1],
+            Some(FieldData::Str("héllo \0 wörld".into()))
+        );
+        let expect = [f64::NAN, -0.0, 1.5, f64::MIN_POSITIVE].map(f64::to_bits);
+        assert_eq!(bits(&full.fields[2]), expect);
+        assert_eq!(
+            full.fields[3],
+            Some(FieldData::F32(vec![f32::INFINITY, -2.25, 0.0]))
+        );
+        assert_eq!(
+            full.fields[4],
+            Some(FieldData::I32(vec![i32::MIN, -1, 0, i32::MAX]))
+        );
+        assert_eq!(
+            full.fields[5],
+            Some(FieldData::I64(vec![i64::MIN, i64::MAX]))
+        );
+        assert_eq!(full.fields[6], Some(FieldData::Bytes((0..=255).collect())));
+        assert_eq!(full.fields[7], None);
+        let empty = &decoded[1];
+        assert_eq!(empty.fields[1], Some(FieldData::Str(String::new())));
+        assert_eq!(empty.fields[2], Some(FieldData::F64(vec![])));
+        assert_eq!(empty.fields[6], Some(FieldData::Bytes(vec![])));
+        let open = &decoded[2];
+        assert!(!open.committed && open.key.is_none());
+        assert_eq!(open.fields[2], Some(FieldData::F64(vec![2.0; 9])));
+    }
+
+    #[test]
+    fn decode_data_rejects_ragged_and_unknown_payloads() {
+        let field = |tag: u8, payload: &[u8]| {
+            let mut out = vec![tag];
+            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            out.extend_from_slice(payload);
+            decode_data(&mut Reader::new(&out))
+        };
+        for (tag, size) in [(1u8, 8usize), (2, 4), (3, 4), (4, 8)] {
+            assert!(field(tag, &vec![0; 3 * size]).is_some());
+            for ragged in [1, size - 1, size + 1, 3 * size - 1] {
+                assert!(
+                    field(tag, &vec![0; ragged]).is_none(),
+                    "tag {tag}, {ragged} B"
+                );
+            }
+        }
+        assert_eq!(field(3, &[]), Some(FieldData::I32(vec![])));
+        assert!(field(0, &[0xFF, 0xFE]).is_none(), "Str must be UTF-8");
+        assert!(field(6, &[0; 8]).is_none(), "unknown kind tag");
+        // A length that runs past the buffer is a framing error.
+        let mut short = vec![1u8];
+        short.extend_from_slice(&16u64.to_le_bytes());
+        short.extend_from_slice(&[0; 8]);
+        assert!(decode_data(&mut Reader::new(&short)).is_none());
     }
 }

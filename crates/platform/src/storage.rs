@@ -14,6 +14,7 @@ use crate::disk::{DiskModel, DiskStats, FileId, SimDisk};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,9 +69,10 @@ pub trait Storage: Send + Sync {
     fn reset_stats(&self);
 
     /// Atomically replace `to` with `from` (moving it). The default is
-    /// copy-then-delete — fine for the in-memory backends, whose writes
-    /// are already atomic; [`RealFs`] overrides with a true `rename(2)`
-    /// so crash-safe publish protocols (tmp + rename) work on disk.
+    /// copy-then-delete, which [`SimFs`] keeps so a rename is charged as
+    /// the read and write it models; [`MemFs`] moves the map entry and
+    /// [`RealFs`] issues a true `rename(2)`, so crash-safe publish
+    /// protocols (tmp + rename) work on disk.
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         let data = self.read(from)?;
         self.write(to, &data)?;
@@ -94,11 +96,20 @@ fn not_found(path: &str) -> io::Error {
     io::Error::new(io::ErrorKind::NotFound, format!("no such file: {path}"))
 }
 
-fn short_read(path: &str, offset: u64, len: usize, file_len: usize) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::UnexpectedEof,
-        format!("read past end of {path}: offset {offset} + len {len} > file length {file_len}"),
-    )
+/// The byte range `[offset, offset + len)` of a `file_len`-byte file; an
+/// `UnexpectedEof` error when it overflows or runs past the end.
+fn checked_range(path: &str, offset: u64, len: usize, file_len: usize) -> io::Result<Range<usize>> {
+    let start = usize::try_from(offset).ok();
+    let end = start.and_then(|s| s.checked_add(len));
+    match (start, end.filter(|&end| end <= file_len)) {
+        (Some(start), Some(end)) => Ok(start..end),
+        _ => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "read past end of {path}: offset {offset} + len {len} > file length {file_len}"
+            ),
+        )),
+    }
 }
 
 #[derive(Clone)]
@@ -164,13 +175,10 @@ impl Storage for MemFs {
 
     fn read_at(&self, path: &str, offset: u64, len: usize) -> io::Result<Vec<u8>> {
         let f = self.get(path)?;
-        let off = offset as usize;
-        if off + len > f.data.len() {
-            return Err(short_read(path, offset, len, f.data.len()));
-        }
+        let range = checked_range(path, offset, len, f.data.len())?;
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(f.data[off..off + len].to_vec())
+        Ok(f.data[range].to_vec())
     }
 
     fn len(&self, path: &str) -> io::Result<u64> {
@@ -212,6 +220,15 @@ impl Storage for MemFs {
         self.writes.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
+    }
+
+    /// A metadata operation, as on a real file system: the entry moves,
+    /// the bytes do not.
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        let mut files = self.files.write();
+        let file = files.remove(from).ok_or_else(|| not_found(from))?;
+        files.insert(to.to_string(), file);
+        Ok(())
     }
 }
 
@@ -274,9 +291,7 @@ impl Storage for SimFs {
 
     fn read_at(&self, path: &str, offset: u64, len: usize) -> io::Result<Vec<u8>> {
         let (id, flen) = self.mem.file_meta(path)?;
-        if offset as usize + len > flen {
-            return Err(short_read(path, offset, len, flen));
-        }
+        checked_range(path, offset, len, flen)?;
         self.disk.charge_read(id, offset, len as u64);
         self.mem.read_at(path, offset, len)
     }
@@ -479,6 +494,36 @@ mod tests {
         fs.write("f", b"1234").unwrap();
         assert!(fs.read_at("f", 2, 10).is_err());
         assert!(fs.read_at("f", 0, 4).is_ok());
+    }
+
+    #[test]
+    fn read_at_range_overflow_is_a_short_read() {
+        let sim = SimFs::new(DiskModel::instant());
+        for fs in [&MemFs::new() as &dyn Storage, &sim] {
+            fs.write("f", b"1234").unwrap();
+            for (offset, len) in [(u64::MAX, 2), (2, usize::MAX), (5, 0)] {
+                let err = fs.read_at("f", offset, len).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            }
+            assert_eq!(fs.read_at("f", 4, 0).unwrap(), b"");
+        }
+    }
+
+    #[test]
+    fn memfs_rename_moves_the_entry() {
+        let fs = MemFs::new();
+        let err = fs.rename("ghost", "a").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert!(!fs.exists("a"), "a failed rename creates nothing");
+        fs.write("a.tmp", b"new contents").unwrap();
+        fs.write("a", b"old").unwrap();
+        fs.reset_stats();
+        fs.rename("a.tmp", "a").unwrap();
+        assert!(!fs.exists("a.tmp"));
+        assert_eq!(fs.len("a").unwrap(), 12);
+        assert_eq!(fs.stats(), StorageStats::default(), "no bytes moved");
+        assert_eq!(fs.read("a").unwrap(), b"new contents");
+        assert_eq!(fs.list(""), vec!["a".to_string()]);
     }
 
     #[test]

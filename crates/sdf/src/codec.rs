@@ -51,10 +51,12 @@ impl Encoding {
         }
     }
 
-    /// Decode a stored payload back to plain little-endian bytes.
-    pub fn decode(self, data: &[u8], elem: usize) -> Result<Vec<u8>> {
+    /// Decode a stored payload back to plain little-endian bytes. Takes
+    /// the stored bytes by value: a `Raw` payload *is* the decoded form
+    /// and is handed back without a copy.
+    pub fn decode(self, data: Vec<u8>, elem: usize) -> Result<Vec<u8>> {
         match self {
-            Encoding::Raw => Ok(data.to_vec()),
+            Encoding::Raw => Ok(data),
             Encoding::Shuffle => {
                 if elem == 0 || !data.len().is_multiple_of(elem) {
                     return Err(SdfError::Corrupt(format!(
@@ -62,7 +64,7 @@ impl Encoding {
                         data.len()
                     )));
                 }
-                Ok(unshuffle(data, elem))
+                Ok(unshuffle(&data, elem))
             }
         }
     }
@@ -108,7 +110,7 @@ mod tests {
     fn raw_is_identity() {
         let data = vec![1, 2, 3, 4, 5, 6, 7, 8];
         assert_eq!(Encoding::Raw.encode(&data, 4), data);
-        assert_eq!(Encoding::Raw.decode(&data, 4).unwrap(), data);
+        assert_eq!(Encoding::Raw.decode(data.clone(), 4).unwrap(), data);
     }
 
     #[test]
@@ -117,7 +119,7 @@ mod tests {
         let bytes = crate::dtype::to_bytes(&values);
         let enc = Encoding::Shuffle.encode(&bytes, 8);
         assert_ne!(enc, bytes, "shuffle should rearrange bytes");
-        let dec = Encoding::Shuffle.decode(&enc, 8).unwrap();
+        let dec = Encoding::Shuffle.decode(enc, 8).unwrap();
         assert_eq!(dec, bytes);
     }
 
@@ -134,13 +136,13 @@ mod tests {
     fn shuffle_single_byte_elements_is_identity() {
         let data = vec![9u8, 8, 7];
         assert_eq!(Encoding::Shuffle.encode(&data, 1), data);
-        assert_eq!(Encoding::Shuffle.decode(&data, 1).unwrap(), data);
+        assert_eq!(Encoding::Shuffle.decode(data.clone(), 1).unwrap(), data);
     }
 
     #[test]
     fn decode_rejects_misaligned_shuffled_payload() {
-        assert!(Encoding::Shuffle.decode(&[1, 2, 3], 8).is_err());
-        assert!(Encoding::Shuffle.decode(&[1, 2, 3], 0).is_err());
+        assert!(Encoding::Shuffle.decode(vec![1, 2, 3], 8).is_err());
+        assert!(Encoding::Shuffle.decode(vec![1, 2, 3], 0).is_err());
     }
 
     #[test]

@@ -112,7 +112,8 @@ impl SdfFile {
         let dir_offset = u64::from_le_bytes(header[8..16].try_into().unwrap());
         let dir_len = u64::from_le_bytes(header[16..24].try_into().unwrap());
         let file_len = storage.len(&path)?;
-        if dir_offset + dir_len > file_len {
+        let dir_end = dir_offset.checked_add(dir_len);
+        if dir_end.is_none_or(|end| end > file_len) {
             return Err(SdfError::Corrupt(format!(
                 "directory [{dir_offset}, +{dir_len}) exceeds file length {file_len} in {path}"
             )));
@@ -120,13 +121,24 @@ impl SdfFile {
         let dir_bytes = storage.read_at(&path, dir_offset, dir_len as usize)?;
         let mut cur = Cursor::new(&dir_bytes);
         let count = cur.u32()? as usize;
-        let mut datasets = Vec::with_capacity(count);
+        // An entry is at least 27 directory bytes; a hostile count must
+        // not size the allocation.
+        let mut datasets = Vec::with_capacity(count.min(dir_bytes.len() / 27));
         for _ in 0..count {
             let entry = decode_entry(&mut cur)?;
-            if entry.offset + entry.stored_len > dir_offset {
+            let payload_end = entry.offset.checked_add(entry.stored_len);
+            if payload_end.is_none_or(|end| end > dir_offset) {
                 return Err(SdfError::Corrupt(format!(
                     "dataset '{}' payload overlaps the directory",
                     entry.name
+                )));
+            }
+            let elem = entry.dtype.size() as u64;
+            let byte_len = entry.dims.iter().try_fold(elem, |n, &d| n.checked_mul(d));
+            if byte_len.is_none() {
+                return Err(SdfError::Corrupt(format!(
+                    "dataset '{}' extents {:?} overflow",
+                    entry.name, entry.dims
                 )));
             }
             datasets.push(entry);
@@ -171,7 +183,12 @@ impl SdfFile {
     /// Read and decode a dataset's full payload as raw little-endian
     /// bytes (checksum-verified, CPU cost charged).
     pub fn read_bytes(&self, name: &str) -> Result<Vec<u8>> {
-        let info = self.dataset(name)?.clone();
+        self.read_payload(self.dataset(name)?)
+    }
+
+    /// One ranged read, one checksum pass, and (for `Raw`) no further
+    /// copy: the verified bytes are the decoded payload.
+    fn read_payload(&self, info: &DatasetInfo) -> Result<Vec<u8>> {
         let stored = self
             .storage
             .read_at(&self.path, info.offset, info.stored_len as usize)?;
@@ -179,14 +196,14 @@ impl SdfFile {
             let actual = crc32(&stored);
             if actual != info.crc {
                 return Err(SdfError::ChecksumMismatch {
-                    dataset: info.name,
+                    dataset: info.name.clone(),
                     expected: info.crc,
                     actual,
                 });
             }
         }
         self.options.charge(info.stored_len);
-        info.encoding.decode(&stored, info.dtype.size())
+        info.encoding.decode(stored, info.dtype.size())
     }
 
     /// Read a dataset as typed elements.
@@ -199,7 +216,7 @@ impl SdfFile {
                 requested: T::DTYPE,
             });
         }
-        from_bytes(&self.read_bytes(name)?)
+        from_bytes(&self.read_payload(info)?)
     }
 
     /// Read a string dataset (U8 payload interpreted as UTF-8).
@@ -212,7 +229,7 @@ impl SdfFile {
                 requested: crate::DType::U8,
             });
         }
-        String::from_utf8(self.read_bytes(name)?)
+        String::from_utf8(self.read_payload(info)?)
             .map_err(|_| SdfError::Corrupt(format!("dataset '{name}' is not UTF-8")))
     }
 
@@ -235,17 +252,21 @@ impl SdfFile {
             )));
         }
         let total = info.element_count();
-        if start + count > total {
+        let esz = info.dtype.size() as u64;
+        // `total * esz` was checked at open, so nothing below `total` can
+        // overflow; the offset sum is input-controlled and is checked.
+        let offset = match start.checked_add(count) {
+            Some(end) if end <= total => info.offset.checked_add(start * esz),
+            _ => None,
+        };
+        let Some(offset) = offset else {
             return Err(SdfError::BadSlab(format!(
                 "slab [{start}, +{count}) exceeds {total} elements of '{name}'"
             )));
-        }
-        let esz = info.dtype.size() as u64;
-        let bytes = self.storage.read_at(
-            &self.path,
-            info.offset + start * esz,
-            (count * esz) as usize,
-        )?;
+        };
+        let bytes = self
+            .storage
+            .read_at(&self.path, offset, (count * esz) as usize)?;
         self.options.charge(count * esz);
         from_bytes(&bytes)
     }
@@ -374,6 +395,60 @@ mod tests {
         let bytes = fs.read(path).unwrap();
         fs.write(path, &bytes[..bytes.len() - 10]).unwrap();
         assert!(SdfFile::open(fs, path).is_err());
+    }
+
+    /// A file whose header and directory are whatever the caller says.
+    fn forged(dir_offset: u64, dir_len: u64, entry: Option<DatasetInfo>) -> Result<SdfFile> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&dir_offset.to_le_bytes());
+        bytes.extend_from_slice(&dir_len.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]); // payload area
+        if let Some(entry) = entry {
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            crate::dataset::encode_entry(&entry, &mut bytes);
+        }
+        let fs = Arc::new(MemFs::new());
+        fs.write("forged.sdf", &bytes).unwrap();
+        SdfFile::open(fs, "forged.sdf")
+    }
+
+    #[test]
+    fn hostile_offsets_are_errors_not_panics() {
+        // Directory range wraps around u64.
+        assert!(matches!(
+            forged(u64::MAX, 2, None),
+            Err(SdfError::Corrupt(_))
+        ));
+        let entry = |offset, stored_len, dims| DatasetInfo {
+            name: "x".into(),
+            dtype: crate::DType::F64,
+            dims,
+            encoding: Encoding::Raw,
+            attrs: vec![],
+            offset,
+            stored_len,
+            crc: 0,
+        };
+        // 4 (count) + 2+1 (name) + 3 (tags, ndims) + 8 (one dim) + 2 + 20.
+        let dir_len = 40;
+        let open = |e| forged(HEADER_LEN as u64 + 8, dir_len, Some(e));
+        // Payload range wraps; extents whose byte size wraps.
+        for bad in [
+            entry(u64::MAX, 2, vec![1]),
+            entry(24, 8, vec![u64::MAX / 4]),
+        ] {
+            assert!(matches!(open(bad), Err(SdfError::Corrupt(_))));
+        }
+        // A well-formed entry opens; slab requests that wrap are refused.
+        let f = open(entry(24, 8, vec![1])).unwrap();
+        for (start, count) in [(u64::MAX, 2), (1, u64::MAX), (0, 2)] {
+            assert!(matches!(
+                f.read_slab::<f64>("x", start, count),
+                Err(SdfError::BadSlab(_))
+            ));
+        }
+        assert_eq!(f.read_slab::<f64>("x", 0, 1).unwrap(), vec![0.0]);
     }
 
     #[test]

@@ -166,15 +166,16 @@ fn mesh_from_buffers(points: &[f64], conn: &[i32]) -> VizResult<TetMesh> {
     Ok(mesh)
 }
 
-/// Derive a per-node colour scalar from a variable's raw buffer.
-fn to_node_scalar(mesh: &TetMesh, var: &str, raw: &[f64]) -> VizResult<Vec<f64>> {
+/// Derive a per-node colour scalar from a variable's raw buffer. A node
+/// scalar already is one: the result shares `raw`'s allocation.
+fn to_node_scalar(mesh: &TetMesh, var: &str, raw: &Arc<Vec<f64>>) -> VizResult<Arc<Vec<f64>>> {
     let kind = variable(var)
         .ok_or_else(|| VizError::Pipeline(format!("unknown variable '{var}'")))?
         .kind;
-    match kind {
+    let derived: Vec<f64> = match kind {
         VarKind::NodeScalar => {
             mesh.check_node_field(raw)?;
-            Ok(raw.to_vec())
+            return Ok(Arc::clone(raw));
         }
         VarKind::NodeVector => {
             let comps = components(kind);
@@ -185,16 +186,15 @@ fn to_node_scalar(mesh: &TetMesh, var: &str, raw: &[f64]) -> VizResult<Vec<f64>>
                     mesh.node_count()
                 )));
             }
-            Ok(raw
-                .chunks_exact(comps)
+            raw.chunks_exact(comps)
                 .map(|v| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt())
-                .collect())
+                .collect()
         }
         VarKind::ElemScalar => {
             mesh.check_elem_field(raw)?;
             // Average incident element values onto nodes.
             let adj = node_to_elem(mesh);
-            Ok((0..mesh.node_count() as u32)
+            (0..mesh.node_count() as u32)
                 .map(|n| {
                     let es = adj.elems_of(n);
                     if es.is_empty() {
@@ -203,9 +203,10 @@ fn to_node_scalar(mesh: &TetMesh, var: &str, raw: &[f64]) -> VizResult<Vec<f64>>
                         es.iter().map(|&e| raw[e as usize]).sum::<f64>() / es.len() as f64
                     }
                 })
-                .collect())
+                .collect()
         }
-    }
+    };
+    Ok(Arc::new(derived))
 }
 
 // ---------------------------------------------------------------------------
@@ -255,12 +256,13 @@ impl DirectBackend {
         let (points, conn, raw) = read?;
         // Interpreting the buffers is computation, not I/O.
         let mesh = mesh_from_buffers(&points, &conn)?;
+        let raw = Arc::new(raw);
         let scalar = to_node_scalar(&mesh, var, &raw)?;
         Ok(BlockData {
             block: b,
             mesh: Arc::new(mesh),
-            scalar: Arc::new(scalar),
-            raw: Arc::new(raw),
+            scalar,
+            raw,
         })
     }
 }
@@ -325,7 +327,8 @@ impl SnapshotSource for DirectBackend {
 // GodivaBackend — the paper's "G" (single-thread) and "TG" (multi-thread)
 // ---------------------------------------------------------------------------
 
-/// A cached per-(block, variable) pair: derived node scalar + raw buffer.
+/// A cached per-(block, variable) pair: derived node scalar + raw buffer
+/// (one shared allocation when the variable is a node scalar).
 type ScalarEntry = (Arc<Vec<f64>>, Arc<Vec<f64>>);
 
 /// Unit granularity for the GODIVA backend (§3.2 lets developers pick).
@@ -442,7 +445,8 @@ pub struct GodivaBackend {
     /// Snapshot whose caches below are valid.
     current: Option<usize>,
     mesh_cache: HashMap<usize, Arc<TetMesh>>,
-    scalar_cache: HashMap<(usize, String), ScalarEntry>,
+    /// Keyed by (block, index of the variable in `vars`).
+    scalar_cache: HashMap<(usize, usize), ScalarEntry>,
     /// Delete units after processing (batch mode) or keep them cached
     /// for revisits (interactive mode).
     delete_after_use: bool,
@@ -769,26 +773,28 @@ impl SnapshotSource for GodivaBackend {
     }
 
     fn load_pass(&mut self, snapshot: usize, var: &str) -> VizResult<Vec<BlockData>> {
+        let var_index = self.vars.iter().position(|v| v == var).ok_or_else(|| {
+            VizError::Pipeline(format!("variable '{var}' is not in the database schema"))
+        })?;
         self.ensure_snapshot(snapshot)?;
         let degrade = self.fault_mode == FaultMode::Degrade;
         let mut out = Vec::with_capacity(self.blocks.len());
-        for b in self.blocks.clone() {
+        for i in 0..self.blocks.len() {
+            let b = self.blocks[i];
             if degrade && self.failed_units.contains(&self.unit_of_block(snapshot, b)) {
                 self.skips.skip_block(snapshot, b);
                 continue;
             }
             let mesh = self.block_mesh(snapshot, b)?;
-            let key = (b, var.to_string());
-            let (scalar, raw) = match self.scalar_cache.get(&key) {
+            let (scalar, raw) = match self.scalar_cache.get(&(b, var_index)) {
                 Some(pair) => pair.clone(),
                 None => {
                     let keys = [Key::from(snapshot as i64), Key::from(b as i64)];
                     let buf = self.db.get_field_buffer(BLOCK_TYPE, var, &keys)?;
                     let raw = Arc::new(buf.f64s()?.to_vec());
-                    let s = Arc::new(to_node_scalar(&mesh, var, &raw)?);
-                    self.scalar_cache
-                        .insert(key, (Arc::clone(&s), Arc::clone(&raw)));
-                    (s, raw)
+                    let pair = (to_node_scalar(&mesh, var, &raw)?, raw);
+                    self.scalar_cache.insert((b, var_index), pair.clone());
+                    pair
                 }
             };
             out.push(BlockData {
@@ -905,6 +911,9 @@ mod tests {
                 assert_eq!(x.block, y.block);
                 assert_eq!(*x.mesh, *y.mesh, "meshes differ in block {}", x.block);
                 assert_eq!(*x.scalar, *y.scalar, "scalars differ in block {}", x.block);
+                assert_eq!(*x.raw, *y.raw, "raw buffers differ in block {}", x.block);
+                // A node scalar is its own colour scalar: one allocation.
+                assert_eq!(Arc::ptr_eq(&y.scalar, &y.raw), var == "stress_avg");
             }
         }
         godiva.end_snapshot(0).unwrap();
@@ -1011,8 +1020,14 @@ mod tests {
     #[test]
     fn unknown_variable_is_an_error() {
         let (fs, config) = dataset();
-        let mut be = DirectBackend::new(fs, config, ReadOptions::new());
+        let mut be = DirectBackend::new(fs.clone(), config.clone(), ReadOptions::new());
         assert!(be.load_pass(0, "bogus_var").is_err());
+        // Known to GENx, but not among the variables the database holds.
+        let mut be = godiva_backend(fs, config, false, Granularity::Snapshot);
+        be.begin_run(&[0]).unwrap();
+        for var in ["bogus_var", "displacement"] {
+            assert!(matches!(be.load_pass(0, var), Err(VizError::Pipeline(_))));
+        }
     }
 
     #[test]

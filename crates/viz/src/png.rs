@@ -5,11 +5,12 @@
 //! worth having for an adoptable tool. A valid PNG needs only: the
 //! 8-byte signature, an IHDR chunk, IDAT chunks containing a zlib stream
 //! (we emit stored deflate blocks — legal, just uncompressed), and IEND.
-//! Chunk CRCs reuse the workspace's CRC-32; the zlib Adler-32 is inlined
-//! below.
+//! Chunk CRCs are the workspace's one CRC-32 ([`godiva_sdf::crc`], the
+//! polynomial PNG and SDF share); the zlib Adler-32 is inlined below.
 
 use crate::raster::Framebuffer;
 use godiva_platform::Storage;
+use godiva_sdf::crc::crc32;
 use std::io;
 
 /// Adler-32 checksum (RFC 1950).
@@ -26,24 +27,6 @@ fn adler32(data: &[u8]) -> u32 {
         b %= MOD;
     }
     (b << 16) | a
-}
-
-/// CRC-32 as PNG requires (same polynomial as the SDF checksums).
-fn crc32(data: &[u8]) -> u32 {
-    // Small local table-free implementation to keep this module
-    // self-contained (PNG writing is not a hot path).
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-        }
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 fn push_chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
@@ -113,11 +96,16 @@ mod tests {
         assert_eq!(adler32(b"Wikipedia"), 0x11E6_0398);
     }
 
+    /// The chunk CRC covers type + payload and is stored big-endian:
+    /// `IEND`'s is the constant every PNG file ends with.
     #[test]
-    fn crc_matches_sdf_implementation() {
-        for data in [&b""[..], b"123456789", b"IHDR test payload"] {
-            assert_eq!(crc32(data), godiva_sdf::crc::crc32(data));
-        }
+    fn chunk_crc_known_vector() {
+        let mut out = Vec::new();
+        push_chunk(&mut out, b"IEND", &[]);
+        assert_eq!(
+            out,
+            [0, 0, 0, 0, b'I', b'E', b'N', b'D', 0xAE, 0x42, 0x60, 0x82]
+        );
     }
 
     #[test]
