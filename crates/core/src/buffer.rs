@@ -7,16 +7,17 @@
 //!
 //! The C++ library hands out raw buffer pointers; the visualization code
 //! "accesses the buffer directly as if the buffer is a user-allocated
-//! array". The Rust equivalent is an [`Arc`]-backed [`FieldBuffer`]:
-//! [`crate::Gbo::get_field_buffer`] returns a cheap [`FieldRef`] clone and
-//! eviction merely drops the database's own reference, so an outstanding
-//! handle can never dangle. Contents are typed ([`FieldData`]) rather
-//! than raw bytes, which is both what Rust callers want and faithful to
-//! the paper's typed field declarations.
+//! array". The Rust equivalent is an immutable, [`Arc`]-shared
+//! [`FieldData`]: [`crate::Gbo::get_field_buffer`] returns a cheap
+//! [`FieldRef`] clone whose typed views (`f64s()`, `bytes()`, …) are plain
+//! slices, and eviction merely drops the database's own reference, so an
+//! outstanding handle can never dangle. A field changes only when its
+//! record slot is given new data (`set_*`, `update_field`). Contents are
+//! typed rather than raw bytes, which is both what Rust callers want and
+//! faithful to the paper's typed field declarations.
 
 use crate::error::{GodivaError, Result};
 use crate::schema::FieldKind;
-use parking_lot::{MappedRwLockReadGuard, RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
 /// Typed contents of a field buffer.
@@ -102,6 +103,61 @@ impl FieldData {
         self.extend_le_bytes(&mut out);
         out
     }
+
+    fn mismatch(&self, asked: FieldKind) -> GodivaError {
+        GodivaError::TypeMismatch(format!(
+            "buffer holds {:?}, asked for {asked:?}",
+            self.kind()
+        ))
+    }
+
+    /// View as a `&[f64]` slice.
+    pub fn f64s(&self) -> Result<&[f64]> {
+        match self {
+            FieldData::F64(v) => Ok(v),
+            other => Err(other.mismatch(FieldKind::F64)),
+        }
+    }
+
+    /// View as a `&[f32]` slice.
+    pub fn f32s(&self) -> Result<&[f32]> {
+        match self {
+            FieldData::F32(v) => Ok(v),
+            other => Err(other.mismatch(FieldKind::F32)),
+        }
+    }
+
+    /// View as a `&[i32]` slice.
+    pub fn i32s(&self) -> Result<&[i32]> {
+        match self {
+            FieldData::I32(v) => Ok(v),
+            other => Err(other.mismatch(FieldKind::I32)),
+        }
+    }
+
+    /// View as a `&[i64]` slice.
+    pub fn i64s(&self) -> Result<&[i64]> {
+        match self {
+            FieldData::I64(v) => Ok(v),
+            other => Err(other.mismatch(FieldKind::I64)),
+        }
+    }
+
+    /// View as a `&[u8]` slice (Bytes fields).
+    pub fn bytes(&self) -> Result<&[u8]> {
+        match self {
+            FieldData::Bytes(v) => Ok(v),
+            other => Err(other.mismatch(FieldKind::Bytes)),
+        }
+    }
+
+    /// View as a `&str` (Str fields).
+    pub fn as_str(&self) -> Result<&str> {
+        match self {
+            FieldData::Str(s) => Ok(s),
+            other => Err(other.mismatch(FieldKind::Str)),
+        }
+    }
 }
 
 /// Append every element of `values` to `out` in one pass: grow once, then
@@ -118,119 +174,11 @@ fn extend_le<T: Copy, const N: usize>(
     }
 }
 
-/// A shared, lock-guarded field buffer.
-///
-/// The database and any number of query results hold [`FieldRef`]s to the
-/// same `FieldBuffer`. Fill/overwrite takes the write lock; processing
-/// code takes cheap read guards.
-#[derive(Debug)]
-pub struct FieldBuffer {
-    data: RwLock<FieldData>,
-}
-
-/// Shared handle to a [`FieldBuffer`] — the Rust stand-in for the buffer
-/// pointer `getFieldBuffer` returns in the paper.
-pub type FieldRef = Arc<FieldBuffer>;
-
-impl FieldBuffer {
-    /// Wrap initial data in a new shared buffer.
-    pub fn new(data: FieldData) -> FieldRef {
-        Arc::new(FieldBuffer {
-            data: RwLock::new(data),
-        })
-    }
-
-    /// Current size in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.data.read().byte_len()
-    }
-
-    /// Kind of the stored data.
-    pub fn kind(&self) -> FieldKind {
-        self.data.read().kind()
-    }
-
-    /// Read guard over the raw [`FieldData`].
-    pub fn data(&self) -> RwLockReadGuard<'_, FieldData> {
-        self.data.read()
-    }
-
-    /// Replace the contents, returning the old data.
-    pub(crate) fn replace(&self, data: FieldData) -> FieldData {
-        std::mem::replace(&mut *self.data.write(), data)
-    }
-
-    /// Mutate the contents in place via `f` (holds the write lock).
-    pub fn update<T>(&self, f: impl FnOnce(&mut FieldData) -> T) -> T {
-        f(&mut self.data.write())
-    }
-
-    /// View as a `&[f64]` slice.
-    pub fn f64s(&self) -> Result<MappedRwLockReadGuard<'_, [f64]>> {
-        RwLockReadGuard::try_map(self.data.read(), |d| match d {
-            FieldData::F64(v) => Some(v.as_slice()),
-            _ => None,
-        })
-        .map_err(|g| {
-            GodivaError::TypeMismatch(format!("buffer holds {:?}, asked for F64", g.kind()))
-        })
-    }
-
-    /// View as a `&[f32]` slice.
-    pub fn f32s(&self) -> Result<MappedRwLockReadGuard<'_, [f32]>> {
-        RwLockReadGuard::try_map(self.data.read(), |d| match d {
-            FieldData::F32(v) => Some(v.as_slice()),
-            _ => None,
-        })
-        .map_err(|g| {
-            GodivaError::TypeMismatch(format!("buffer holds {:?}, asked for F32", g.kind()))
-        })
-    }
-
-    /// View as a `&[i32]` slice.
-    pub fn i32s(&self) -> Result<MappedRwLockReadGuard<'_, [i32]>> {
-        RwLockReadGuard::try_map(self.data.read(), |d| match d {
-            FieldData::I32(v) => Some(v.as_slice()),
-            _ => None,
-        })
-        .map_err(|g| {
-            GodivaError::TypeMismatch(format!("buffer holds {:?}, asked for I32", g.kind()))
-        })
-    }
-
-    /// View as a `&[i64]` slice.
-    pub fn i64s(&self) -> Result<MappedRwLockReadGuard<'_, [i64]>> {
-        RwLockReadGuard::try_map(self.data.read(), |d| match d {
-            FieldData::I64(v) => Some(v.as_slice()),
-            _ => None,
-        })
-        .map_err(|g| {
-            GodivaError::TypeMismatch(format!("buffer holds {:?}, asked for I64", g.kind()))
-        })
-    }
-
-    /// View as a `&[u8]` slice (Bytes fields).
-    pub fn bytes(&self) -> Result<MappedRwLockReadGuard<'_, [u8]>> {
-        RwLockReadGuard::try_map(self.data.read(), |d| match d {
-            FieldData::Bytes(v) => Some(v.as_slice()),
-            _ => None,
-        })
-        .map_err(|g| {
-            GodivaError::TypeMismatch(format!("buffer holds {:?}, asked for Bytes", g.kind()))
-        })
-    }
-
-    /// Copy out the contents as a `String` (Str fields).
-    pub fn as_str(&self) -> Result<String> {
-        match &*self.data.read() {
-            FieldData::Str(s) => Ok(s.clone()),
-            other => Err(GodivaError::TypeMismatch(format!(
-                "buffer holds {:?}, asked for Str",
-                other.kind()
-            ))),
-        }
-    }
-}
+/// Shared handle to a field's contents — the Rust stand-in for the buffer
+/// pointer `getFieldBuffer` returns in the paper. It reads what the field
+/// held when the handle was obtained, whatever the database has done
+/// since (DESIGN.md §5 "Buffer hand-out").
+pub type FieldRef = Arc<FieldData>;
 
 /// A key value used to look records up — the Rust stand-in for the
 /// paper's "array of pointers to buffers holding key field values".
@@ -295,8 +243,8 @@ mod tests {
 
     #[test]
     fn typed_views_and_mismatches() {
-        let buf = FieldBuffer::new(FieldData::F64(vec![1.0, 2.0]));
-        assert_eq!(&*buf.f64s().unwrap(), &[1.0, 2.0]);
+        let buf: FieldRef = Arc::new(FieldData::F64(vec![1.0, 2.0]));
+        assert_eq!(buf.f64s().unwrap(), &[1.0, 2.0]);
         assert!(buf.i32s().is_err());
         assert!(buf.as_str().is_err());
         assert_eq!(buf.byte_len(), 16);
@@ -304,33 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place() {
-        let buf = FieldBuffer::new(FieldData::F64(vec![0.0; 4]));
-        buf.update(|d| {
-            if let FieldData::F64(v) = d {
-                for (i, x) in v.iter_mut().enumerate() {
-                    *x = i as f64;
-                }
-            }
-        });
-        assert_eq!(&*buf.f64s().unwrap(), &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn replace_returns_old() {
-        let buf = FieldBuffer::new(FieldData::Str("old".into()));
-        let old = buf.replace(FieldData::Str("new".into()));
-        assert_eq!(old, FieldData::Str("old".into()));
-        assert_eq!(buf.as_str().unwrap(), "new");
-    }
-
-    #[test]
     fn shared_handle_survives_database_drop() {
         // Simulates eviction: the DB drops its Arc, the handle lives on.
-        let buf = FieldBuffer::new(FieldData::I32(vec![42]));
-        let handle: FieldRef = Arc::clone(&buf);
+        let buf: FieldRef = Arc::new(FieldData::I32(vec![42]));
+        let handle = Arc::clone(&buf);
         drop(buf);
-        assert_eq!(&*handle.i32s().unwrap(), &[42]);
+        assert_eq!(handle.i32s().unwrap(), &[42]);
     }
 
     #[test]
@@ -350,13 +277,5 @@ mod tests {
         assert_eq!(d.key_bytes(), Key::from(7i64).0);
         let d = FieldData::F64(vec![0.25]);
         assert_eq!(d.key_bytes(), Key::from(0.25f64).0);
-    }
-
-    #[test]
-    fn concurrent_readers_do_not_block() {
-        let buf = FieldBuffer::new(FieldData::F64(vec![1.0; 100]));
-        let g1 = buf.f64s().unwrap();
-        let g2 = buf.f64s().unwrap();
-        assert_eq!(g1.len(), g2.len());
     }
 }

@@ -17,7 +17,9 @@
 //! `new_record`, `alloc_field` (the paper's `allocFieldBuffer`),
 //! `commit_record`, `get_field_buffer`, `get_field_buffer_size`,
 //! `add_unit`, `read_unit`, `wait_unit`, `finish_unit`, `delete_unit`,
-//! and `set_mem_space`.
+//! and `set_mem_space`. A field changes only through its record's
+//! [`RecordHandle`] (`set_*`, `update_field`); the [`FieldRef`]s that
+//! `get_field_buffer` hands out are immutable (see [`crate::buffer`]).
 
 use crate::buffer::{FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
@@ -1245,7 +1247,7 @@ impl RecordHandle {
     }
 
     /// Install `data` as the contents of `field`; returns the buffer
-    /// handle. Behind `alloc_field` and all `set_*` helpers.
+    /// handle. Behind `alloc_field`, `update_field` and every `set_*`.
     ///
     /// Two locks, nested: the unit lock for the accounting, the store
     /// lock inside it for the buffer swap — so neither eviction nor
@@ -1297,8 +1299,9 @@ impl RecordHandle {
         Ok(buf)
     }
 
-    /// `allocFieldBuffer(record, field, size)`: allocate a zeroed buffer
-    /// of `bytes` bytes for a field whose declared size was UNKNOWN.
+    /// `allocFieldBuffer(record, field, size)`: reserve and zero-fill
+    /// `bytes` bytes for a field whose declared size was UNKNOWN; fill
+    /// them through `update_field` or replace them through a `set_*`.
     pub fn alloc_field(&self, field: &str, bytes: u64) -> Result<FieldRef> {
         let kind = self.rt.fields[self.slot(field)?].kind;
         self.set_field(field, FieldData::zeroed(kind, bytes)?)
@@ -1340,28 +1343,13 @@ impl RecordHandle {
         self.inner.store.field(self.id, self.slot(field)?)
     }
 
-    /// Mutate a field's buffer in place. Length changes are re-accounted
-    /// against the memory budget afterwards (without blocking).
+    /// Change a field through `f` — the copy path: `f` edits a copy of the
+    /// current contents, which then replaces them exactly as a `set_*`
+    /// would (which moves a vector in without the copy).
     pub fn update_field<T>(&self, field: &str, f: impl FnOnce(&mut FieldData) -> T) -> Result<T> {
-        let buf = self.field(field)?;
-        let old = buf.byte_len();
-        let out = buf.update(f);
-        let new = buf.byte_len();
-        let unit = self.unit.as_deref();
-        let mut st = self.inner.units.lock();
-        if new >= old {
-            let delta = new - old;
-            st.mem_used += delta;
-            self.inner.metrics.bytes_allocated.add(delta);
-            self.inner.metrics.mem.set(st.mem_used);
-            if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
-                u.bytes += delta;
-            }
-        } else {
-            self.inner
-                .units
-                .release(&mut st, &self.inner.metrics, old - new, unit);
-        }
+        let mut data = FieldData::clone(&*self.field(field)?);
+        let out = f(&mut data);
+        self.set_field(field, data)?;
         Ok(out)
     }
 

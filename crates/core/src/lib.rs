@@ -59,11 +59,12 @@
 //!
 //! ## Departures from the C++ library (all safety-motivated)
 //!
-//! - Buffers are `Arc`-shared: eviction drops the database's reference
-//!   instead of freeing memory out from under the application.
-//! - Key bytes are snapshotted at `commit_record`, so mutating a key
-//!   buffer afterwards cannot desynchronize the index (the paper
-//!   documents that hazard and asks developers to avoid it).
+//! - Buffers are `Arc`-shared and immutable: eviction drops the
+//!   database's reference instead of freeing memory out from under the
+//!   application, and the bytes behind a handle never change.
+//! - Key fields of a committed record cannot be replaced, so the index
+//!   cannot be desynchronized from the buffers (the paper documents that
+//!   hazard and asks developers to avoid it).
 //! - Deadlocks (§3.3) are *returned* as [`GodivaError::Deadlock`] from
 //!   `wait_unit` rather than aborting the process.
 //! - Failures in read functions are contained: panics are caught and
@@ -88,7 +89,7 @@ pub mod unit;
 mod units;
 pub mod wal;
 
-pub use buffer::{FieldBuffer, FieldData, FieldRef, Key};
+pub use buffer::{FieldData, FieldRef, Key};
 pub use db::{Gbo, GboConfig, RecordHandle, RecordId, RetryPolicy, UnitGuard, UnitSession};
 pub use error::{GodivaError, Result};
 pub use sched::{FifoPolicy, PriorityPolicy, QueuePolicy, SchedulerKind};

@@ -481,7 +481,7 @@ pub(crate) fn encode_unit(store: &Store, unit: &str, records: &[RecordId]) -> Op
             match slot {
                 Some(buf) => {
                     out.push(1);
-                    encode_data(&mut out, &buf.data());
+                    encode_data(&mut out, buf);
                 }
                 None => out.push(0),
             }

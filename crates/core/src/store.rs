@@ -15,7 +15,7 @@
 //! lock alone — it stamps the owning unit's LRU cell, an atomic the
 //! record shares with the unit-table entry ([`UnitTag`]).
 
-use crate::buffer::{FieldBuffer, FieldData, FieldRef, Key};
+use crate::buffer::{FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
 use crate::metrics::GboMetrics;
 use crate::schema::{DeclaredSize, RecordTypeDef, Schema};
@@ -132,9 +132,9 @@ pub(crate) struct RecordEntry {
     pub(crate) rt: Arc<RecordTypeDef>,
     /// One slot per field of the record type, in definition order.
     pub(crate) fields: Vec<Option<FieldRef>>,
-    /// Key snapshot taken at commit; `Some` is what "committed" means.
-    /// (The snapshot guards the index against later key buffer
-    /// modification — see DESIGN.md.)
+    /// Key snapshot taken at commit; `Some` is what "committed" means,
+    /// and from then on `set_field` refuses the key fields, so the
+    /// snapshot and the buffers agree for the record's whole life.
     pub(crate) key: Option<EncodedKey>,
     pub(crate) unit: Option<Arc<UnitTag>>,
 }
@@ -221,7 +221,7 @@ impl Store {
             fields.push(match fs.size {
                 DeclaredSize::Known(bytes) => {
                     total += bytes;
-                    Some(FieldBuffer::new(FieldData::zeroed(fs.kind, bytes)?))
+                    Some(Arc::new(FieldData::zeroed(fs.kind, bytes)?))
                 }
                 DeclaredSize::Unknown => None,
             });
@@ -236,9 +236,8 @@ impl Store {
     }
 
     /// Re-install a record decoded from a spill frame, restoring its
-    /// commit-time key snapshot verbatim (the snapshot is authoritative —
-    /// recomputing it from the buffers would lose the index guard the
-    /// snapshot exists for). No creation/commit counters are bumped: the
+    /// commit-time key snapshot verbatim (the frame carries it, so there
+    /// is nothing to recompute). No creation/commit counters are bumped: the
     /// record was already counted when it was first created. Safe to call
     /// with the unit-table lock held (lock order units → store).
     pub(crate) fn restore_record(
@@ -267,7 +266,7 @@ impl Store {
         let fields = frame
             .fields
             .into_iter()
-            .map(|slot| slot.map(FieldBuffer::new))
+            .map(|slot| slot.map(Arc::new))
             .collect();
         let id = st.insert(RecordEntry {
             rt: Arc::clone(&rt),
@@ -297,7 +296,9 @@ impl Store {
     }
 
     /// Make `data` the contents of field `slot` of record `id`; returns
-    /// the buffer handle and the byte length it held before. The caller
+    /// the new handle and the byte length the slot held before. Handles
+    /// given out earlier keep what they had: the allocation is reused
+    /// only while the store holds the only handle to it. The caller
     /// (a [`crate::RecordHandle`]) has checked `data` against the slot's
     /// definition and holds the unit-table lock, under which it accounts
     /// the difference.
@@ -316,13 +317,16 @@ impl Store {
                 def.field
             )));
         }
-        Ok(match &rec.fields[slot] {
-            Some(buf) => (Arc::clone(buf), buf.replace(data).byte_len()),
-            None => {
-                let buf = FieldBuffer::new(data);
-                rec.fields[slot] = Some(Arc::clone(&buf));
-                (buf, 0)
+        Ok(match &mut rec.fields[slot] {
+            Some(buf) => {
+                let old_len = buf.byte_len();
+                match Arc::get_mut(buf) {
+                    Some(unshared) => *unshared = data,
+                    None => *buf = Arc::new(data),
+                }
+                (Arc::clone(buf), old_len)
             }
+            empty => (Arc::clone(empty.insert(Arc::new(data))), 0),
         })
     }
 
@@ -363,10 +367,9 @@ impl Store {
             let buf = buf.as_ref().ok_or_else(|| GodivaError::Unallocated {
                 field: fs.field.clone(),
             })?;
-            let data = buf.data();
             st.scratch
-                .extend_from_slice(&(data.byte_len() as u32).to_le_bytes());
-            data.extend_le_bytes(&mut st.scratch);
+                .extend_from_slice(&(buf.byte_len() as u32).to_le_bytes());
+            buf.extend_le_bytes(&mut st.scratch);
         }
         let idx = index_of(&mut st.index, rec.rt.id);
         if let Some((key, &existing)) = idx.get_key_value(st.scratch.as_slice()) {

@@ -833,11 +833,7 @@ mod tests {
             std::fs::write(&path, &full[..cut]).unwrap();
             let scan = scan_log(&path).unwrap();
             // The valid prefix ends at the last record boundary ≤ cut.
-            let expect_len = *boundaries
-                .iter()
-                .filter(|&&b| b <= cut as u64)
-                .next_back()
-                .unwrap_or(&0);
+            let expect_len = *boundaries.iter().rfind(|&&b| b <= cut as u64).unwrap_or(&0);
             assert_eq!(scan.valid_len, expect_len, "cut at {cut}");
             assert_eq!(scan.truncated, scan.valid_len < cut as u64, "cut at {cut}");
             // Replay of any prefix never errors and mentions no unit

@@ -1,7 +1,8 @@
 //! Allocation budget of the per-record operations (DESIGN.md §5e): a
-//! key lookup that hits allocates nothing, a record costs its own
-//! storage and no more, and dropping a unit costs a few allocations
-//! whatever the number of records in it.
+//! key lookup that hits and a read through the handle it returns
+//! allocate nothing, a record costs its own storage and no more, and
+//! dropping a unit costs a few allocations whatever the number of
+//! records in it.
 //!
 //! The counts come from a `#[global_allocator]` that counts per thread,
 //! so the tests of this binary — which `cargo test` runs on parallel
@@ -121,6 +122,21 @@ fn a_lookup_hit_allocates_nothing() {
         }
     }
     assert_eq!(allocs() - before, 0, "allocations in 240 lookup hits");
+}
+
+#[test]
+fn reading_a_handle_allocates_nothing() {
+    let db = opmix_db();
+    load(&db, 7, 1);
+    let keys = [Key::from(7i64), Key::from(0i64)];
+    let buf = db.get_field_buffer("rec", "a", &keys).unwrap();
+    let before = allocs();
+    let mut sum = 0.0;
+    for _ in 0..1000 {
+        sum += std::hint::black_box(&buf).f64s().unwrap()[0];
+    }
+    assert_eq!(allocs() - before, 0, "allocations in 1000 reads");
+    assert_eq!(sum, 1000.0);
 }
 
 #[test]

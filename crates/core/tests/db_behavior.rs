@@ -3,8 +3,8 @@
 //! detection — §3.1–§3.3 of the paper.
 
 use godiva_core::{
-    DeclaredSize, EvictionPolicy, FieldKind, Gbo, GboConfig, GodivaError, Key, UnitSession,
-    UnitState,
+    DeclaredSize, EvictionPolicy, FieldData, FieldKind, Gbo, GboConfig, GodivaError, Key,
+    UnitSession, UnitState,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -397,7 +397,7 @@ fn commit_is_idempotent_and_key_fields_freeze() {
     let buf = db
         .get_field_buffer("rec", "data", &[Key::from("k1")])
         .unwrap();
-    assert_eq!(&*buf.f64s().unwrap(), &[2.0, 3.0]);
+    assert_eq!(buf.f64s().unwrap(), &[2.0, 3.0]);
 }
 
 #[test]
@@ -448,7 +448,7 @@ fn unknown_type_vs_missing_key() {
 }
 
 #[test]
-fn alloc_field_then_update_in_place() {
+fn alloc_field_then_update() {
     let db = small_db(1 << 20, true);
     define_schema(&db);
     let r = db.new_record("rec").unwrap();
@@ -457,7 +457,7 @@ fn alloc_field_then_update_in_place() {
     assert_eq!(buf.f64s().unwrap().len(), 10);
     let before = db.mem_used();
     r.update_field("data", |d| {
-        if let godiva_core::FieldData::F64(v) = d {
+        if let FieldData::F64(v) = d {
             v.push(99.0); // grow by one element
         }
     })
@@ -468,6 +468,110 @@ fn alloc_field_then_update_in_place() {
         .get_field_buffer("rec", "data", &[Key::from("k")])
         .unwrap();
     assert_eq!(got.f64s().unwrap()[10], 99.0);
+}
+
+#[test]
+fn update_field_goes_through_the_same_checks_and_budget_as_set() {
+    let db = small_db(10_000, false);
+    db.read_unit("a", unit_reader(750, Duration::ZERO)).unwrap();
+    db.finish_unit("a").unwrap();
+    let r = db.new_record("rec").unwrap();
+    r.set_str("id", "k").unwrap();
+    r.set_f64("data", vec![1.0; 250]).unwrap();
+    let grow = |d: &mut FieldData| {
+        if let FieldData::F64(v) = d {
+            v.resize(750, 2.0);
+        }
+    };
+
+    // Growth is charged like a `set_*`: the finished unit makes room.
+    let held = r.field("data").unwrap();
+    r.update_field("data", grow).unwrap();
+    assert!(db.mem_used() <= db.mem_limit(), "{} bytes", db.mem_used());
+    assert_eq!(db.stats().evictions, 1);
+    assert_eq!(db.unit_state("a"), Some(UnitState::Registered));
+
+    // An old handle keeps what it had; a new one sees the change.
+    assert_eq!(held.f64s().unwrap(), &[1.0; 250]);
+    let fresh = r.field("data").unwrap();
+    assert_eq!(fresh.f64s().unwrap().len(), 750);
+    assert_eq!(fresh.f64s().unwrap()[749], 2.0);
+
+    // The declared size and kind still bind.
+    let too_long = r.update_field("id", |d| *d = FieldData::Str("x".repeat(12)));
+    assert!(matches!(too_long, Err(GodivaError::TypeMismatch(_))));
+    let wrong_kind = r.update_field("data", |d| *d = FieldData::I32(vec![1]));
+    assert!(matches!(wrong_kind, Err(GodivaError::TypeMismatch(_))));
+    assert_eq!(r.field("id").unwrap().as_str().unwrap(), "k");
+
+    // Key fields of a committed record stay as committed.
+    r.commit().unwrap();
+    assert!(r
+        .update_field("id", |d| *d = FieldData::Str("k2".into()))
+        .is_err());
+    let found = db.get_field_buffer("rec", "id", &[Key::from("k")]).unwrap();
+    assert_eq!(found.as_str().unwrap(), "k");
+    assert!(db
+        .get_field_buffer("rec", "id", &[Key::from("k2")])
+        .is_err());
+}
+
+#[test]
+fn a_replaced_field_is_never_seen_torn() {
+    // A unit-less record whose field one thread keeps replacing, and two
+    // neighbour units that take turns in what is left of the budget —
+    // one and a half times their size, so loading one evicts the other
+    // while the replacing goes on.
+    const N: usize = 512;
+    const ROUNDS: usize = 2_000;
+    let db = small_db(1 << 20, false);
+    define_schema(&db);
+    let r = db.new_record("rec").unwrap();
+    r.set_str("id", "w").unwrap();
+    r.set_f64("data", vec![1.0; N]).unwrap();
+    r.commit().unwrap();
+    let record_bytes = db.mem_used();
+    let neighbour_bytes = (N * 8 + 2) as u64;
+    db.set_mem_space(record_bytes + neighbour_bytes * 3 / 2);
+    let uniform = |v: &[f64]| v.len() == N && v.iter().all(|&x| x == v[0]);
+
+    let written = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let held = db.get_field_buffer("rec", "data", &key_of("w")).unwrap();
+            let first = held.f64s().unwrap()[0];
+            let mut latest = first;
+            for i in 0..ROUNDS {
+                let name = format!("n{}", i % 2);
+                db.read_unit(&name, unit_reader(N, Duration::ZERO)).unwrap();
+                db.finish_unit(&name).unwrap();
+                let now = db.get_field_buffer("rec", "data", &key_of("w")).unwrap();
+                let seen = now.f64s().unwrap();
+                assert!(uniform(seen), "torn read in round {i}");
+                assert!(seen[0] >= latest, "a later lookup saw an earlier value");
+                latest = seen[0];
+                let old = held.f64s().unwrap();
+                assert!(uniform(old) && old[0] == first, "a held handle changed");
+            }
+        });
+        // Replace for as long as the reader runs, so the two overlap.
+        let mut k = 1.0;
+        while !reader.is_finished() {
+            k += 1.0;
+            r.set_f64("data", vec![k; N]).unwrap();
+            assert!(uniform(r.field("data").unwrap().f64s().unwrap()));
+        }
+        k
+    });
+
+    assert!(db.stats().evictions >= ROUNDS as u64 - 1);
+    let resident = ["n0", "n1"]
+        .iter()
+        .filter(|n| db.unit_state(n).is_some_and(|s| s.is_loaded()))
+        .count() as u64;
+    assert_eq!(db.mem_used(), record_bytes + resident * neighbour_bytes);
+    assert!(db.mem_used() <= db.mem_limit());
+    assert!(written > 1.0, "the writer never ran beside the reader");
+    assert_eq!(r.field("data").unwrap().f64s().unwrap()[0], written);
 }
 
 #[test]

@@ -212,12 +212,8 @@ fn spilled_strings_and_keys_roundtrip() {
     load_and_finish(&db, "unit_a");
     load_and_finish(&db, "unit_b"); // evicts + spills a
     db.wait_unit("unit_a").unwrap(); // spill hit
-    let id = db
-        .get_field_buffer("rec", "id", &key_of("unit_a"))
-        .unwrap()
-        .as_str()
-        .unwrap();
-    assert_eq!(id, "unit_a");
+    let id = db.get_field_buffer("rec", "id", &key_of("unit_a")).unwrap();
+    assert_eq!(id.as_str().unwrap(), "unit_a");
     db.finish_unit("unit_a").unwrap();
     assert_eq!(db.stats().spill_hits, 1);
 }

@@ -738,7 +738,7 @@ impl GodivaBackend {
         let keys = [Key::from(snapshot as i64), Key::from(block as i64)];
         let points = self.db.get_field_buffer(BLOCK_TYPE, "points", &keys)?;
         let conn = self.db.get_field_buffer(BLOCK_TYPE, "conn", &keys)?;
-        let mesh = Arc::new(mesh_from_buffers(&points.f64s()?, &conn.i32s()?)?);
+        let mesh = Arc::new(mesh_from_buffers(points.f64s()?, conn.i32s()?)?);
         self.mesh_cache.insert(block, Arc::clone(&mesh));
         Ok(mesh)
     }

@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let values = buf.f64s()?;
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let expect = series(step);
-        assert_eq!(&*values, expect.as_slice(), "data identical across formats");
+        assert_eq!(values, expect.as_slice(), "data identical across formats");
         println!(
             "{unit:<18} {} samples, mean {mean:+.4}  (read via its own read function)",
             values.len()

@@ -170,7 +170,7 @@ proptest! {
         // Every model entry is queryable and returns the right payload.
         for (keys, payload) in &model {
             let buf = db.get_field_buffer("rec", "payload", keys).unwrap();
-            prop_assert_eq!(&*buf.f64s().unwrap(), payload.as_slice());
+            prop_assert_eq!(buf.f64s().unwrap(), payload.as_slice());
             let size = db.get_field_buffer_size("rec", "payload", keys).unwrap();
             prop_assert_eq!(size, (payload.len() * 8) as u64);
         }
@@ -311,7 +311,7 @@ proptest! {
         let check = |db: &Gbo| {
             for (keys, payload) in &model {
                 let buf = db.get_field_buffer("rec", "payload", keys).unwrap();
-                assert_eq!(&*buf.f64s().unwrap(), payload.as_slice(), "{keys:?}");
+                assert_eq!(buf.f64s().unwrap(), payload.as_slice(), "{keys:?}");
             }
         };
         // Finish "u" and load a unit that fills the whole budget.
@@ -376,7 +376,7 @@ proptest! {
             let buf = db
                 .get_field_buffer("rec", "payload", &[Key::from("stable")])
                 .unwrap();
-            prop_assert_eq!(&*buf.f64s().unwrap(), chunk, "iteration {}", i);
+            prop_assert_eq!(buf.f64s().unwrap(), chunk, "iteration {}", i);
         }
         // …and key mutation is refused outright.
         prop_assert!(rec.set_str("rec.k0", "corrupted").is_err());

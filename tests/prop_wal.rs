@@ -209,14 +209,14 @@ proptest! {
 
         // Invariants 4 + 5: every unit reads back identical data; warm
         // units do it without their read function running.
-        for i in 0..UNITS {
-            let before = call_counters[i].load(Ordering::SeqCst);
-            db.read_unit(&unit_name(i), reader(i, call_counters[i].clone())).unwrap();
+        for (i, calls) in call_counters.iter().enumerate() {
+            let before = calls.load(Ordering::SeqCst);
+            db.read_unit(&unit_name(i), reader(i, calls.clone())).unwrap();
             assert_data(&db, i);
             db.finish_unit(&unit_name(i)).unwrap();
             if warm.contains(&i) {
                 prop_assert_eq!(
-                    call_counters[i].load(Ordering::SeqCst), before,
+                    calls.load(Ordering::SeqCst), before,
                     "unit {}'s intact frame must restore without re-reading", i
                 );
             }

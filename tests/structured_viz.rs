@@ -88,7 +88,7 @@ fn multiblock_through_godiva_database() {
                 .collect(),
         };
         mesh.validate().unwrap();
-        let soup = surface(&mesh, &temp.f64s().unwrap()).unwrap();
+        let soup = surface(&mesh, temp.f64s().unwrap()).unwrap();
         godiva::viz::raster::rasterize(&mut fb, &camera, &cmap, &soup);
     }
     guard.finish();
