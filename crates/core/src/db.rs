@@ -31,9 +31,9 @@ use crate::stats::GboStats;
 use crate::store::Store;
 use crate::unit::{EvictionPolicy, ReadFn, ReadFunction, UnitState};
 use crate::units::{AllocCtx, UnitEntry, UnitTag, Units};
-use crate::wal::{self, Durability, ManifestUnit, RestoreInfo, SnapshotInfo, Wal, WalEntry};
+use crate::wal::{Durability, Wal, WalEntry};
 use godiva_obs::{FlightRecorder, MetricsRegistry, Tracer};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -471,7 +471,7 @@ impl Gbo {
         }
     }
 
-    fn build(config: GboConfig, wal: Option<Arc<Wal>>) -> Self {
+    pub(crate) fn build(config: GboConfig, wal: Option<Arc<Wal>>) -> Self {
         // Tee the tracer into the flight recorder so the ring always
         // holds the tail of the event stream — even when no user tracer
         // is configured (the tee then records into the ring alone).
@@ -526,232 +526,6 @@ impl Gbo {
             watchdog,
             health: parking_lot::Mutex::new(None),
         }
-    }
-
-    /// Open a database with **crash recovery**: scan the WAL in
-    /// `config.wal_dir`, truncate any torn tail, rebuild the unit table
-    /// from the journaled lifecycle, re-adopt surviving checksummed
-    /// spill frames (warm restart — revisits re-materialize from disk
-    /// instead of re-running read callbacks), and continue journaling
-    /// to the same log. Without a `wal_dir` (or with
-    /// [`Durability::None`]) this is plain [`Gbo::with_config`] — a
-    /// cold start.
-    ///
-    /// Recovery invariants (DESIGN.md §5g): replay stops at the first
-    /// torn or corrupt record and *truncates* there rather than
-    /// erroring; every unit surviving replay re-enters `Registered`, so
-    /// schemas and read callbacks must be re-declared by the
-    /// application before waits.
-    pub fn open_recovering(config: GboConfig) -> Result<Gbo> {
-        let dir = match (&config.wal_dir, config.durability) {
-            (Some(dir), Durability::Wal | Durability::WalSync) => dir.clone(),
-            _ => return Ok(Self::with_config(config)),
-        };
-        let path = dir.join(wal::WAL_FILE);
-        let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let scan = wal::scan_log(&path)?;
-        let rep = wal::replay(&scan);
-        let sync = config.durability == Durability::WalSync;
-        let walh = Arc::new(Wal::open_at(&dir, sync, scan.next_lsn(), scan.valid_len)?);
-        let gbo = Self::build(config, Some(walh));
-        let span_start = gbo.inner.tracer.now_us();
-        let truncated = file_len.saturating_sub(scan.valid_len);
-        gbo.inner.metrics.wal_replayed.add(rep.entries);
-        gbo.inner.metrics.wal_truncated.add(truncated);
-        {
-            let mut st = gbo.inner.units.lock();
-            for (name, ru) in &rep.units {
-                let entry = st
-                    .units
-                    .entry(name.clone())
-                    .or_insert_with(|| UnitEntry::new(name, None, UnitState::Registered, 0));
-                if ru.loaded {
-                    // Preserve revisit accounting: a recovered unit that
-                    // had loaded counts as previously-loaded, so its next
-                    // read is a revisit (spill hit or miss), not a first
-                    // load.
-                    entry.mark_loaded(&gbo.inner.units.clock);
-                }
-            }
-        }
-        let mut adopted = 0u64;
-        if let Some(spill) = &gbo.inner.units.spill {
-            spill.sweep_tmp();
-            for (name, ru) in &rep.units {
-                if let Some((len, xxh)) = ru.spilled {
-                    if spill.adopt(&gbo.inner.metrics, &gbo.inner.tracer, name, len, xxh) {
-                        adopted += 1;
-                    }
-                }
-            }
-        }
-        if gbo.inner.tracer.enabled() {
-            gbo.inner.tracer.complete(
-                "gbo",
-                "wal_replay",
-                span_start,
-                vec![
-                    ("records", rep.entries.into()),
-                    ("units", (rep.units.len() as u64).into()),
-                    ("frames_adopted", adopted.into()),
-                    ("truncated_bytes", truncated.into()),
-                ],
-            );
-        }
-        Ok(gbo)
-    }
-
-    /// Write an LSN-stamped point-in-time snapshot of the database's
-    /// durable state into `dir`: a checksummed manifest naming every
-    /// unit plus copies of the live spill frames.
-    ///
-    /// Spill frames are immutable once published (eviction *replaces* a
-    /// frame by atomic rename, never mutates it in place), so the
-    /// copies are taken outside the database locks — copy-on-write in
-    /// effect: an in-progress run keeps committing while the snapshot
-    /// is cut, and the manifest's LSN bounds exactly what it captured.
-    pub fn snapshot(&self, dir: impl AsRef<Path>) -> Result<SnapshotInfo> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let lsn = self
-            .inner
-            .units
-            .wal
-            .as_ref()
-            .map(|w| w.last_lsn())
-            .unwrap_or(0);
-        let mut units: Vec<ManifestUnit> = {
-            let st = self.inner.units.lock();
-            let mut v: Vec<ManifestUnit> = st
-                .units
-                .iter()
-                .map(|(name, e)| ManifestUnit {
-                    name: name.clone(),
-                    loaded: e.loaded_seq > 0,
-                    frame: None,
-                })
-                .collect();
-            v.sort_by(|a, b| a.name.cmp(&b.name));
-            v
-        };
-        let mut frames = 0usize;
-        let mut bytes = 0u64;
-        if let Some(spill) = &self.inner.units.spill {
-            for (unit, _) in spill.entries() {
-                let Some(frame) = spill.read_frame_raw(&unit) else {
-                    continue;
-                };
-                if frame.len() < 8 {
-                    continue;
-                }
-                let tail =
-                    u64::from_le_bytes(frame[frame.len() - 8..].try_into().expect("8-byte tail"));
-                if crate::spill::xxh64(&frame[..frame.len() - 8], 0) != tail {
-                    continue; // torn/raced frame; skip rather than freeze garbage
-                }
-                let file = format!("{}.gsp", crate::spill::sanitize(&unit));
-                std::fs::write(dir.join(&file), &frame)?;
-                let len = frame.len() as u64;
-                match units.iter_mut().find(|u| u.name == unit) {
-                    Some(u) => u.frame = Some((file, len, tail)),
-                    None => units.push(ManifestUnit {
-                        name: unit.clone(),
-                        loaded: true,
-                        frame: Some((file, len, tail)),
-                    }),
-                }
-                frames += 1;
-                bytes += len;
-            }
-        }
-        wal::write_manifest(dir, lsn, &units)?;
-        Ok(SnapshotInfo {
-            lsn,
-            units: units.len(),
-            frames,
-            bytes,
-        })
-    }
-
-    /// Seed a **new** run from a snapshot directory: copy the frozen
-    /// frames into `config`'s spill storage and synthesize a fresh WAL
-    /// in `config.wal_dir` describing them, so a subsequent
-    /// [`Gbo::open_recovering`] with the same config starts warm —
-    /// cheap session forking off a backup. Requires `config.wal_dir`;
-    /// frames are only planted when `config.spill` is set.
-    pub fn restore_snapshot(
-        snapshot_dir: impl AsRef<Path>,
-        config: &GboConfig,
-    ) -> Result<RestoreInfo> {
-        let snapshot_dir = snapshot_dir.as_ref();
-        let (_lsn, units) = wal::read_manifest(snapshot_dir)?;
-        let wal_dir = config.wal_dir.as_ref().ok_or_else(|| {
-            GodivaError::from(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "restore_snapshot requires GboConfig.wal_dir",
-            ))
-        })?;
-        let walh = Wal::create(wal_dir, false)?;
-        let metrics = GboMetrics::new(None);
-        let tracer = Tracer::disabled();
-        let mut frames = 0usize;
-        for u in &units {
-            walh.append(
-                &metrics,
-                &tracer,
-                &WalEntry::UnitAdded {
-                    unit: u.name.clone(),
-                },
-            );
-            if u.loaded {
-                walh.append(
-                    &metrics,
-                    &tracer,
-                    &WalEntry::UnitLoaded {
-                        unit: u.name.clone(),
-                    },
-                );
-            }
-            let Some((file, len, xxh)) = &u.frame else {
-                continue;
-            };
-            let Some(spill) = &config.spill else { continue };
-            let data = std::fs::read(snapshot_dir.join(file))?;
-            // The manifest's length/checksum must match the copied
-            // bytes, or adoption would reject the frame later anyway.
-            if data.len() as u64 != *len
-                || data.len() < 8
-                || u64::from_le_bytes(data[data.len() - 8..].try_into().expect("8-byte tail"))
-                    != *xxh
-            {
-                continue;
-            }
-            spill
-                .storage
-                .write(&format!("{}/{}", spill.dir, file), &data)?;
-            walh.append(
-                &metrics,
-                &tracer,
-                &WalEntry::UnitSpilled {
-                    unit: u.name.clone(),
-                    frame_len: *len,
-                    frame_xxh: *xxh,
-                },
-            );
-            walh.append(
-                &metrics,
-                &tracer,
-                &WalEntry::UnitEvicted {
-                    unit: u.name.clone(),
-                },
-            );
-            frames += 1;
-        }
-        walh.sync_to(walh.last_lsn(), &metrics, &tracer);
-        Ok(RestoreInfo {
-            units: units.len(),
-            frames,
-        })
     }
 
     // --- schema (record operation interfaces, §3.1) ---------------------

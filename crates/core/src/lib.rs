@@ -79,6 +79,7 @@ mod crash;
 pub mod db;
 pub mod error;
 mod exec;
+mod frame;
 mod metrics;
 pub mod sched;
 pub mod schema;

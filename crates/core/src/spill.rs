@@ -22,6 +22,8 @@
 //!
 //! ## Frame format
 //!
+//! A frame is this unit body, sealed by `frame.rs` under seed 0:
+//!
 //! ```text
 //! "GSPL" magic, version u8
 //! unit name          u32 len + bytes
@@ -38,16 +40,15 @@
 //!     kind tag       u8
 //!     byte length    u64
 //!     payload        bytes (little-endian element encoding)
-//! checksum           u64 (XXH64 of everything above, little-endian)
 //! ```
 //!
-//! All integers are little-endian. The checksum is the last 8 bytes of
-//! the file; a mismatch (or any decode failure) counts as
+//! A checksum mismatch (or any decode failure) counts as
 //! `spill_corrupt`, deletes the file and falls back to the callback.
 
 use crate::buffer::FieldData;
 use crate::db::Inner;
 use crate::error::Result;
+use crate::frame::{self, put_bytes, sanitize, Reader};
 use crate::metrics::GboMetrics;
 use crate::schema::FieldKind;
 use crate::store::{EncodedKey, RecordId, Store};
@@ -57,6 +58,7 @@ use godiva_obs::Tracer;
 use godiva_platform::Storage;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"GSPL";
@@ -127,32 +129,19 @@ impl SpillTier {
     }
 
     fn path_of(&self, unit: &str) -> String {
-        format!("{}/{}.gsp", self.dir, sanitize(unit))
+        format!("{}/{}", self.dir, file_of(unit))
     }
 
-    /// Store `frame` as `unit`'s spill file, evicting LRU files to make
-    /// room. Called by `evict_one` with the units lock held (the write
-    /// must be atomic with the in-memory drop); the tier's own lock is
-    /// only outside the WAL lock, so that nesting is safe.
-    ///
-    /// The publish is crash-atomic: the frame is written to
-    /// `<file>.gsp.tmp`, flushed, renamed into place, and the directory
-    /// entry flushed — a crash mid-evict leaves either the old frame,
-    /// no frame, or the complete new frame, never a truncated one that
-    /// would later count as `spill_corrupt`.
-    pub(crate) fn store_unit(
+    /// Forget `unit`'s own entry (its file is about to be replaced) and
+    /// evict LRU frames until `len` more bytes fit the budget.
+    fn make_room(
         &self,
+        st: &mut SpillState,
         metrics: &GboMetrics,
         tracer: &Tracer,
         unit: &str,
-        frame: Vec<u8>,
+        len: u64,
     ) {
-        let len = frame.len() as u64;
-        if len > self.budget || frame.len() < 8 {
-            return; // would evict the whole tier for one unit / no frame
-        }
-        let frame_xxh = u64::from_le_bytes(frame[frame.len() - 8..].try_into().expect("8 bytes"));
-        let mut st = self.state.lock();
         if let Some(old) = st.entries.remove(unit) {
             st.used = st.used.saturating_sub(old.len);
         }
@@ -163,24 +152,42 @@ impl SpillTier {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(name, _)| name.clone());
             let Some(victim) = victim else { break };
-            self.remove_entry(&mut st, metrics, tracer, &victim, "budget");
+            self.remove_entry(st, metrics, tracer, &victim, "budget");
         }
-        let path = self.path_of(unit);
-        let tmp = format!("{path}.tmp");
-        let published = self
-            .storage
-            .write(&tmp, &frame)
-            .and_then(|()| self.storage.sync_file(&tmp))
-            .and_then(|()| {
-                crate::crash::crash_point("spill_publish");
-                self.storage.rename(&tmp, &path)
-            })
-            .and_then(|()| {
-                crate::crash::crash_point("spill_rename");
-                self.storage.sync_dir(&self.dir)
-            });
-        if published.is_err() {
-            let _ = self.storage.delete(&tmp);
+    }
+
+    /// Enter `unit`'s `len`-byte frame as the most recently used.
+    fn insert(&self, st: &mut SpillState, metrics: &GboMetrics, unit: &str, len: u64) {
+        st.clock += 1;
+        let last_use = st.clock;
+        st.entries
+            .insert(unit.to_string(), SpillEntry { len, last_use });
+        st.used += len;
+        metrics.spill_bytes.set(st.used);
+    }
+
+    /// Store `frame` as `unit`'s spill file, evicting LRU files to make
+    /// room. Called by `evict_one` with the units lock held (the write
+    /// must be atomic with the in-memory drop); the tier's own lock is
+    /// only outside the WAL lock, so that nesting is safe.
+    ///
+    /// The publish is crash-atomic ([`frame::publish`]): a crash mid-evict
+    /// leaves either the old frame, no frame, or the complete new frame,
+    /// never a truncated one that would later count as `spill_corrupt`.
+    pub(crate) fn store_unit(
+        &self,
+        metrics: &GboMetrics,
+        tracer: &Tracer,
+        unit: &str,
+        frame: Vec<u8>,
+    ) {
+        let len = frame.len() as u64;
+        let Some(frame_xxh) = frame::trailer(&frame).filter(|_| len <= self.budget) else {
+            return; // would evict the whole tier for one unit / no frame
+        };
+        let mut st = self.state.lock();
+        self.make_room(&mut st, metrics, tracer, unit, len);
+        if frame::publish(&*self.storage, &self.dir, &file_of(unit), &frame).is_err() {
             metrics.spill_bytes.set(st.used);
             return;
         }
@@ -195,15 +202,8 @@ impl SpillTier {
                 },
             );
         }
-        st.clock += 1;
-        let entry = SpillEntry {
-            len,
-            last_use: st.clock,
-        };
-        st.entries.insert(unit.to_string(), entry);
-        st.used += len;
+        self.insert(&mut st, metrics, unit, len);
         metrics.spill_writes.inc();
-        metrics.spill_bytes.set(st.used);
         if tracer.enabled() {
             tracer.instant(
                 "gbo",
@@ -221,13 +221,10 @@ impl SpillTier {
     /// — the unit was deleted, or re-armed with a new read function.
     pub(crate) fn invalidate(&self, metrics: &GboMetrics, tracer: &Tracer, unit: &str) {
         let mut st = self.state.lock();
-        if st.entries.contains_key(unit) {
-            self.remove_entry(&mut st, metrics, tracer, unit, "invalidate");
-            metrics.spill_bytes.set(st.used);
-        }
+        self.remove_entry(&mut st, metrics, tracer, unit, "invalidate");
     }
 
-    /// Remove one entry and delete its file. Caller updates the gauge.
+    /// Remove one entry and delete its file.
     fn remove_entry(
         &self,
         st: &mut SpillState,
@@ -265,10 +262,11 @@ impl SpillTier {
         }
     }
 
-    /// Recovery: re-adopt a frame the WAL says should exist. The file
-    /// must match the journaled length and trailing checksum (the frame
-    /// body is still fully verified on each load). Returns whether the
-    /// frame was adopted.
+    /// Recovery: re-adopt a frame the WAL says should exist, as the most
+    /// recently used one (callers adopt in journal order). The file must
+    /// match the journaled length and trailing checksum (the frame body
+    /// is still fully verified on each load); older frames make room for
+    /// it exactly as for a new spill. Returns whether it was adopted.
     pub(crate) fn adopt(
         &self,
         metrics: &GboMetrics,
@@ -279,29 +277,19 @@ impl SpillTier {
     ) -> bool {
         let path = self.path_of(unit);
         let matches = self.storage.len(&path).ok() == Some(frame_len)
-            && frame_len >= 8
-            && frame_len <= self.budget
+            && (8..=self.budget).contains(&frame_len)
             && self
                 .storage
                 .read_at(&path, frame_len - 8, 8)
                 .ok()
-                .and_then(|tail| tail.try_into().ok().map(u64::from_le_bytes))
+                .and_then(|tail| frame::trailer(&tail))
                 == Some(frame_xxh);
         if !matches {
             return false;
         }
         let mut st = self.state.lock();
-        if let Some(old) = st.entries.remove(unit) {
-            st.used = st.used.saturating_sub(old.len);
-        }
-        st.clock += 1;
-        let entry = SpillEntry {
-            len: frame_len,
-            last_use: st.clock,
-        };
-        st.entries.insert(unit.to_string(), entry);
-        st.used += frame_len;
-        metrics.spill_bytes.set(st.used);
+        self.make_room(&mut st, metrics, tracer, unit, frame_len);
+        self.insert(&mut st, metrics, unit, frame_len);
         if tracer.enabled() {
             tracer.instant(
                 "gbo",
@@ -312,19 +300,13 @@ impl SpillTier {
         true
     }
 
-    /// Snapshot support: the tier's current entries `(unit, frame_len)`.
-    pub(crate) fn entries(&self) -> Vec<(String, u64)> {
-        self.state
-            .lock()
-            .entries
-            .iter()
-            .map(|(n, e)| (n.clone(), e.len))
-            .collect()
-    }
-
-    /// Snapshot support: raw bytes of `unit`'s frame file, if readable.
-    pub(crate) fn read_frame_raw(&self, unit: &str) -> Option<Vec<u8>> {
-        self.storage.read(&self.path_of(unit)).ok()
+    /// Snapshot support: [`copy_frames`] of every frame the tier holds
+    /// into `dst`. Frames are immutable once published, so no tier lock
+    /// is held while they are read.
+    pub(crate) fn copy_live(&self, dst: &dyn Storage) -> io::Result<Vec<(String, (u64, u64))>> {
+        let units: Vec<String> = self.state.lock().entries.keys().cloned().collect();
+        let any = units.iter().map(|u| (u.as_str(), None));
+        copy_frames(&*self.storage, dst, &self.dir, any)
     }
 
     /// Recovery: delete any `*.gsp.tmp` left by a crash mid-publish.
@@ -336,93 +318,79 @@ impl SpillTier {
         }
     }
 
-    /// Load and verify `unit`'s spill frame. `None` on miss; corruption
-    /// is counted, traced, and the bad file deleted before returning
-    /// `None`. The file is *kept* on a successful load (LRU touch only)
-    /// so the unit can be evicted straight back to it.
-    fn load_verified(&self, metrics: &GboMetrics, tracer: &Tracer, unit: &str) -> Option<Vec<u8>> {
+    /// Load `unit`'s spill frame: one read, one checksum pass, one
+    /// decode. `None` on miss; a frame that fails its checksum or does
+    /// not decode is counted, traced and deleted (so the next eviction
+    /// rewrites it cleanly) before returning `None`. The file is *kept*
+    /// on a successful load (LRU touch only) so the unit can be evicted
+    /// straight back to it.
+    fn load_unit(
+        &self,
+        metrics: &GboMetrics,
+        tracer: &Tracer,
+        unit: &str,
+    ) -> Option<Vec<RecordFrame>> {
         {
             let mut st = self.state.lock();
-            if !st.entries.contains_key(unit) {
-                return None;
-            }
-            st.clock += 1;
-            let clock = st.clock;
-            st.entries.get_mut(unit).expect("present").last_use = clock;
+            let clock = st.clock + 1;
+            st.entries.get_mut(unit)?.last_use = clock;
+            st.clock = clock;
         }
         // File I/O outside the tier lock; a concurrent budget eviction
         // deleting the file mid-read just turns this into a miss.
-        let path = self.path_of(unit);
-        let frame = self.storage.read(&path).ok()?;
-        if frame.len() >= 8 {
-            let body = &frame[..frame.len() - 8];
-            let stored = u64::from_le_bytes(frame[frame.len() - 8..].try_into().expect("8 bytes"));
-            if xxh64(body, 0) == stored {
-                return Some(frame);
+        let frame = self.storage.read(&self.path_of(unit)).ok()?;
+        let records = frame::open(&frame, 0).and_then(|body| decode_unit(body, unit));
+        if records.is_none() {
+            metrics.spill_corrupt.inc();
+            if tracer.enabled() {
+                let bytes = frame.len() as u64;
+                let args = vec![("unit", unit.into()), ("bytes", bytes.into())];
+                tracer.instant("gbo", "spill_corrupt", args);
             }
+            let mut st = self.state.lock();
+            self.remove_entry(&mut st, metrics, tracer, unit, "corrupt");
         }
-        // Checksum (or framing) failure: the file is useless — drop it
-        // so the next eviction rewrites it cleanly.
-        metrics.spill_corrupt.inc();
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "spill_corrupt",
-                vec![
-                    ("unit", unit.into()),
-                    ("bytes", (frame.len() as u64).into()),
-                ],
-            );
-        }
-        let mut st = self.state.lock();
-        self.remove_entry(&mut st, metrics, tracer, unit, "corrupt");
-        None
+        records
     }
 }
 
-/// A spill file name must be a single path component: percent-encode
-/// every byte outside `[A-Za-z0-9._-]` (and `.`/`..` themselves).
-pub(crate) fn sanitize(unit: &str) -> String {
-    let mut out = String::with_capacity(unit.len());
-    for b in unit.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'.' | b'_' | b'-' => out.push(b as char),
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    if out == "." || out == ".." {
-        out = out.replace('.', "%2E");
-    }
-    out
+/// `unit`'s frame file name inside the tier's directory.
+fn file_of(unit: &str) -> String {
+    format!("{}.gsp", sanitize(unit))
 }
 
-/// Invert [`sanitize`] (percent-decode). `None` on malformed escapes or
-/// non-UTF-8 results — callers treat that as a corrupt name.
-pub(crate) fn desanitize(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s.get(i + 1..i + 3)?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
+/// Copy `units`' frames from `src` to `dst` — both keep them under
+/// `dir` — publishing each copy atomically. A frame is copied only if
+/// it verifies and, where the caller expects a `(length, trailing
+/// checksum)`, has it; the rest are skipped (their units just start
+/// cold). Returns each copy's unit and `(length, trailing checksum)`.
+pub(crate) fn copy_frames<'a>(
+    src: &dyn Storage,
+    dst: &dyn Storage,
+    dir: &str,
+    units: impl IntoIterator<Item = (&'a str, Option<(u64, u64)>)>,
+) -> io::Result<Vec<(String, (u64, u64))>> {
+    let mut copied = Vec::new();
+    for (unit, expected) in units {
+        let file = file_of(unit);
+        let Ok(bytes) = src.read(&format!("{dir}/{file}")) else {
+            continue;
+        };
+        let Some(xxh) = frame::open(&bytes, 0).and(frame::trailer(&bytes)) else {
+            continue;
+        };
+        let found = (bytes.len() as u64, xxh);
+        if expected.is_none_or(|e| e == found) {
+            frame::publish(dst, dir, &file, &bytes)?;
+            copied.push((unit.to_string(), found));
         }
     }
-    String::from_utf8(out).ok()
+    Ok(copied)
 }
 
 // ---------------------------------------------------------------------------
 // frame encode / decode
 // ---------------------------------------------------------------------------
-
-pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
 
 fn kind_tag(kind: FieldKind) -> u8 {
     match kind {
@@ -487,8 +455,7 @@ pub(crate) fn encode_unit(store: &Store, unit: &str, records: &[RecordId]) -> Op
             }
         }
     }
-    let sum = xxh64(&out, 0);
-    out.extend_from_slice(&sum.to_le_bytes());
+    frame::seal(&mut out, 0, 0);
     Some(out)
 }
 
@@ -498,51 +465,6 @@ pub(crate) struct RecordFrame {
     pub(crate) committed: bool,
     pub(crate) key: Option<EncodedKey>,
     pub(crate) fields: Vec<Option<FieldData>>,
-}
-
-/// Bounds-checked cursor over an encoded frame or WAL record body.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Whether the cursor consumed the whole buffer.
-    pub(crate) fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let out = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    pub(crate) fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?.to_vec()).ok()
-    }
 }
 
 /// Little-endian elements of `payload`, or `None` when its length is
@@ -570,39 +492,28 @@ fn decode_data(r: &mut Reader) -> Option<FieldData> {
     })
 }
 
-/// Decode a verified frame into record frames. `None` on any framing
-/// error (treated as corruption by the caller) or unit-name mismatch.
-pub(crate) fn decode_unit(frame: &[u8], unit: &str) -> Option<Vec<RecordFrame>> {
-    if frame.len() < 8 {
-        return None;
-    }
-    let mut r = Reader {
-        buf: &frame[..frame.len() - 8],
-        pos: 0,
-    };
+/// Decode an opened frame (the body [`frame::open`] returned) into
+/// record frames. `None` on any framing error (treated as corruption by
+/// the caller) or unit-name mismatch.
+pub(crate) fn decode_unit(body: &[u8], unit: &str) -> Option<Vec<RecordFrame>> {
+    let mut r = Reader::new(body);
     if r.take(4)? != MAGIC || r.u8()? != VERSION {
         return None;
     }
     if r.string()? != unit {
         return None;
     }
-    let count = r.u32()? as usize;
+    // A record is at least a type name, two flags and a slot count.
+    let count = r.count(4 + 2 + 4)?;
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
         let type_name = r.string()?;
         let committed = r.u8()? != 0;
         let key = match r.u8()? {
             0 => None,
-            _ => {
-                let n = r.u32()?;
-                let start = r.pos;
-                for _ in 0..n {
-                    r.bytes()?;
-                }
-                Some(EncodedKey::new(&r.buf[start..r.pos]))
-            }
+            _ => Some(EncodedKey::new(r.counted_fields()?)),
         };
-        let slots = r.u32()? as usize;
+        let slots = r.count(1)?;
         let mut fields = Vec::with_capacity(slots);
         for _ in 0..slots {
             fields.push(match r.u8()? {
@@ -617,10 +528,7 @@ pub(crate) fn decode_unit(frame: &[u8], unit: &str) -> Option<Vec<RecordFrame>> 
             fields,
         });
     }
-    if r.pos != r.buf.len() {
-        return None; // trailing garbage
-    }
-    Some(records)
+    r.done().then_some(records) // else: trailing garbage
 }
 
 // ---------------------------------------------------------------------------
@@ -662,19 +570,7 @@ impl Inner {
                 }
             }
         };
-        let Some(frame) = spill.load_verified(&self.metrics, &self.tracer, name) else {
-            miss();
-            return Ok(false);
-        };
-        let Some(records) = decode_unit(&frame, name) else {
-            // Checksum passed but the structure is unreadable: same
-            // treatment as a checksum failure.
-            self.metrics.spill_corrupt.inc();
-            if self.tracer.enabled() {
-                self.tracer
-                    .instant("gbo", "spill_corrupt", vec![("unit", name.into())]);
-            }
-            spill.invalidate(&self.metrics, &self.tracer, name);
+        let Some(records) = spill.load_unit(&self.metrics, &self.tracer, name) else {
             miss();
             return Ok(false);
         };
@@ -733,137 +629,10 @@ impl Inner {
     }
 }
 
-// ---------------------------------------------------------------------------
-// XXH64 (from scratch; the spill frame's trailing checksum)
-// ---------------------------------------------------------------------------
-
-const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
-const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
-const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
-const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
-
-fn read_u64(data: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(data[i..i + 8].try_into().expect("8 bytes"))
-}
-
-fn read_u32(data: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"))
-}
-
-fn round(acc: u64, input: u64) -> u64 {
-    acc.wrapping_add(input.wrapping_mul(PRIME64_2))
-        .rotate_left(31)
-        .wrapping_mul(PRIME64_1)
-}
-
-fn merge_round(acc: u64, val: u64) -> u64 {
-    (acc ^ round(0, val))
-        .wrapping_mul(PRIME64_1)
-        .wrapping_add(PRIME64_4)
-}
-
-/// The reference XXH64 hash of `data` under `seed`.
-pub(crate) fn xxh64(data: &[u8], seed: u64) -> u64 {
-    let mut i = 0usize;
-    let mut h = if data.len() >= 32 {
-        let mut v1 = seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2);
-        let mut v2 = seed.wrapping_add(PRIME64_2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(PRIME64_1);
-        while i + 32 <= data.len() {
-            v1 = round(v1, read_u64(data, i));
-            v2 = round(v2, read_u64(data, i + 8));
-            v3 = round(v3, read_u64(data, i + 16));
-            v4 = round(v4, read_u64(data, i + 24));
-            i += 32;
-        }
-        let mut h = v1
-            .rotate_left(1)
-            .wrapping_add(v2.rotate_left(7))
-            .wrapping_add(v3.rotate_left(12))
-            .wrapping_add(v4.rotate_left(18));
-        h = merge_round(h, v1);
-        h = merge_round(h, v2);
-        h = merge_round(h, v3);
-        merge_round(h, v4)
-    } else {
-        seed.wrapping_add(PRIME64_5)
-    };
-    h = h.wrapping_add(data.len() as u64);
-    while i + 8 <= data.len() {
-        h ^= round(0, read_u64(data, i));
-        h = h
-            .rotate_left(27)
-            .wrapping_mul(PRIME64_1)
-            .wrapping_add(PRIME64_4);
-        i += 8;
-    }
-    if i + 4 <= data.len() {
-        h ^= u64::from(read_u32(data, i)).wrapping_mul(PRIME64_1);
-        h = h
-            .rotate_left(23)
-            .wrapping_mul(PRIME64_2)
-            .wrapping_add(PRIME64_3);
-        i += 4;
-    }
-    while i < data.len() {
-        h ^= u64::from(data[i]).wrapping_mul(PRIME64_5);
-        h = h.rotate_left(11).wrapping_mul(PRIME64_1);
-        i += 1;
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(PRIME64_2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(PRIME64_3);
-    h ^= h >> 32;
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Reference vectors from the xxHash specification (XXH64, seed 0
-    /// and a non-zero seed).
-    #[test]
-    fn xxh64_reference_vectors() {
-        assert_eq!(xxh64(b"", 0), 0xEF46_DB37_51D8_E999);
-        assert_eq!(xxh64(b"a", 0), 0xD24E_C4F1_A98C_6E5B);
-        assert_eq!(xxh64(b"abc", 0), 0x44BC_2CF5_AD77_0999);
-        assert_eq!(
-            xxh64(b"Nobody inspects the spammish repetition", 0),
-            0xFBCE_A83C_8A37_8BF1
-        );
-        assert_eq!(
-            xxh64(b"Nobody inspects the spammish repetition", 0xDEAD_BEEF),
-            0x1366_D5F6_09C4_4B7D
-        );
-    }
-
-    #[test]
-    fn xxh64_long_input_exercises_stripe_loop() {
-        let data: Vec<u8> = (0..1000u32).flat_map(|x| x.to_le_bytes()).collect();
-        // Self-consistency: one flipped byte changes the hash.
-        let h = xxh64(&data, 0);
-        let mut bad = data.clone();
-        bad[512] ^= 0xFF;
-        assert_ne!(h, xxh64(&bad, 0));
-        assert_eq!(h, xxh64(&data, 0));
-    }
-
-    #[test]
-    fn sanitize_is_single_component() {
-        assert_eq!(sanitize("snap_0001"), "snap_0001");
-        assert_eq!(sanitize("snap/0001.sdf"), "snap%2F0001.sdf");
-        assert_eq!(sanitize(".."), "%2E%2E");
-        assert_eq!(sanitize("a b"), "a%20b");
-        for name in ["snap_0001", "snap/0001.sdf", "..", "a b", "ünïcode/x"] {
-            assert_eq!(desanitize(&sanitize(name)).as_deref(), Some(name));
-        }
-        assert_eq!(desanitize("%zz"), None);
-        assert_eq!(desanitize("%2"), None);
-    }
+    use crate::frame::xxh64;
 
     #[test]
     fn frame_roundtrip() {
@@ -902,8 +671,6 @@ mod tests {
                 None => out.push(0),
             }
         }
-        let sum = xxh64(&out, 0);
-        out.extend_from_slice(&sum.to_le_bytes());
 
         let decoded = decode_unit(&out, "u1").expect("decodes");
         assert_eq!(decoded.len(), 1);
@@ -917,7 +684,32 @@ mod tests {
         // Wrong unit name is a decode failure, not a silent hit.
         assert!(decode_unit(&out, "u2").is_none());
         // Truncation is a decode failure.
-        assert!(decode_unit(&out[..out.len() - 9], "u1").is_none());
+        assert!(decode_unit(&out[..out.len() - 1], "u1").is_none());
+    }
+
+    /// XXH64 is no secret, so a checksum-valid frame can still lie: a
+    /// record count the bytes cannot hold is refused before it sizes an
+    /// allocation (this input used to abort the process asking for
+    /// ~340 GB).
+    #[test]
+    fn hostile_record_count_is_refused_not_allocated() {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(MAGIC);
+        frame.push(VERSION);
+        put_bytes(&mut frame, b"u1");
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        frame::seal(&mut frame, 0, 0);
+        let body = frame::open(&frame, 0).expect("the checksum is valid");
+        assert!(decode_unit(body, "u1").is_none());
+        // So is a slot count, and a key count, inside a plausible record.
+        for tail in [&[0u8, 0][..], &[1, 1][..]] {
+            let mut frame = body[..body.len() - 4].to_vec();
+            frame.extend_from_slice(&1u32.to_le_bytes());
+            put_bytes(&mut frame, b"t");
+            frame.extend_from_slice(tail);
+            frame.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_unit(&frame, "u1").is_none());
+        }
     }
 
     /// One unit holding every `FieldKind`, edge values included.
@@ -979,12 +771,13 @@ mod tests {
         let records = every_kind_unit(&db);
         let frame = encode_unit(&db.inner.store, "pin/unit 1", &records).unwrap();
         assert_eq!(frame.capacity(), frame.len(), "sized once, exactly");
-        let (body, sum) = frame.split_at(frame.len() - 8);
+        let body = frame::open(&frame, 0).expect("sealed under seed 0");
+        let sum = frame::trailer(&frame).unwrap().to_le_bytes();
         assert_eq!(xxh64(body, 0).to_le_bytes(), sum);
         assert_eq!(frame.len(), 725);
         assert_eq!(sum, 0x8BD0_FDB4_3C38_71BC_u64.to_le_bytes());
 
-        let decoded = decode_unit(&frame, "pin/unit 1").expect("decodes");
+        let decoded = decode_unit(body, "pin/unit 1").expect("decodes");
         assert_eq!(decoded.len(), 3);
         let bits = |d: &Option<FieldData>| match d {
             Some(FieldData::F64(v)) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

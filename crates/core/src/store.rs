@@ -17,9 +17,10 @@
 
 use crate::buffer::{FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
+use crate::frame::{put_bytes, Reader};
 use crate::metrics::GboMetrics;
 use crate::schema::{DeclaredSize, RecordTypeDef, Schema};
-use crate::spill::{put_bytes, Reader, RecordFrame};
+use crate::spill::RecordFrame;
 use crate::units::UnitTag;
 use crate::wal::Wal;
 use godiva_obs::Tracer;

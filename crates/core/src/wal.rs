@@ -1,28 +1,29 @@
 //! The write-ahead log and recovery machinery (DESIGN.md §5g).
 //!
-//! The GBO is an in-memory database plus a best-effort spill cache:
-//! until this module, any crash lost the unit table, the key index and
-//! every spill frame's ownership metadata, forcing a cold restart that
-//! re-runs all developer read callbacks. The WAL journals record
-//! commits and every unit lifecycle transition (add → loaded →
-//! finished → evicted/spilled → deleted) so [`crate::Gbo::open_recovering`]
-//! can rebuild the unit table, re-adopt surviving checksummed `.gsp`
-//! spill frames, and serve revisits from disk after a restart — a warm
+//! The GBO is an in-memory database plus a best-effort spill cache.
+//! The WAL journals record commits and every unit lifecycle transition
+//! (add → loaded → finished → evicted/spilled → deleted) so
+//! [`crate::Gbo::open_recovering`] can rebuild the unit table, re-adopt
+//! surviving checksummed spill frames, and serve revisits from disk
+//! after a restart instead of re-running every read callback — a warm
 //! restart in the QuiverDB style (CRC'd records, monotonic LSNs,
 //! group-commit fsync coalescing).
 //!
 //! ## Record format
 //!
+//! A record is a `u32` body length followed by this body, sealed by
+//! `frame.rs` under `WAL_SEED`:
+//!
 //! ```text
-//! body length        u32  (bytes of lsn + entry)
 //! lsn                u64  (monotonic, contiguous, 1-based)
 //! entry tag          u8
 //! entry payload      tag-specific (strings are u32 len + bytes)
-//! checksum           u64  (XXH64 of lsn..payload under WAL_SEED)
 //! ```
 //!
-//! All integers are little-endian. The log is a single append-only
-//! file, `<wal_dir>/wal.log`.
+//! The log is a single append-only file, `<wal_dir>/wal.log`. A
+//! **snapshot** ([`crate::Gbo::snapshot`]) is a directory holding a
+//! compacted log in this same format beside copies of the frames it
+//! names, so recovery reads it like any other log.
 //!
 //! ## LSN rules
 //!
@@ -46,27 +47,31 @@
 //!   one `fdatasync` — whoever holds the sync lock covers everybody
 //!   appended before the call, and the rest skip.
 
+use crate::db::{Gbo, GboConfig};
+use crate::error::{GodivaError, Result};
+use crate::frame::{self, put_bytes, Reader};
 use crate::metrics::GboMetrics;
 use crate::schema::RecordTypeDef;
-use crate::spill::{put_bytes, sanitize, xxh64, Reader};
+use crate::unit::UnitState;
+use crate::units::UnitEntry;
 use godiva_obs::Tracer;
+use godiva_platform::RealFs;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Seed for every XXH64 checksum in the WAL and snapshot manifest
-/// (distinct from the spill frames' seed-0 checksums, so a WAL record
-/// can never verify as a frame or vice versa).
+/// Seed for every XXH64 checksum in the WAL (distinct from the spill
+/// frames' seed-0 checksums, so a WAL record can never verify as a
+/// frame or vice versa).
 const WAL_SEED: u64 = 0x474F_4449_5641_4C31; // "GODIVAL1"
 
-/// The log's file name inside `GboConfig::wal_dir`.
+/// The log's file name inside `GboConfig::wal_dir` (and inside a
+/// snapshot directory).
 pub const WAL_FILE: &str = "wal.log";
-
-/// Snapshot manifest file name inside a snapshot directory.
-pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Upper bound on one record's body; anything larger is treated as a
 /// torn/corrupt length prefix (entries are names + keys — tiny).
@@ -145,18 +150,23 @@ pub enum WalEntry {
 }
 
 impl WalEntry {
+    /// The entry's on-disk tag byte and its kind name.
+    fn tag_and_kind(&self) -> (u8, &'static str) {
+        match self {
+            WalEntry::UnitAdded { .. } => (1, "unit_added"),
+            WalEntry::UnitLoaded { .. } => (2, "unit_loaded"),
+            WalEntry::UnitFinished { .. } => (3, "unit_finished"),
+            WalEntry::UnitSpilled { .. } => (4, "unit_spilled"),
+            WalEntry::UnitEvicted { .. } => (5, "unit_evicted"),
+            WalEntry::UnitDeleted { .. } => (6, "unit_deleted"),
+            WalEntry::SpillDropped { .. } => (7, "spill_dropped"),
+            WalEntry::RecordCommitted { .. } => (8, "record_committed"),
+        }
+    }
+
     /// Short machine-readable name of the entry kind (trace argument).
     pub fn kind(&self) -> &'static str {
-        match self {
-            WalEntry::UnitAdded { .. } => "unit_added",
-            WalEntry::UnitLoaded { .. } => "unit_loaded",
-            WalEntry::UnitFinished { .. } => "unit_finished",
-            WalEntry::UnitSpilled { .. } => "unit_spilled",
-            WalEntry::UnitEvicted { .. } => "unit_evicted",
-            WalEntry::UnitDeleted { .. } => "unit_deleted",
-            WalEntry::SpillDropped { .. } => "spill_dropped",
-            WalEntry::RecordCommitted { .. } => "record_committed",
-        }
+        self.tag_and_kind().1
     }
 
     /// The unit this entry concerns, if any.
@@ -179,50 +189,28 @@ impl WalEntry {
 // ---------------------------------------------------------------------------
 
 fn encode_entry(out: &mut Vec<u8>, entry: &WalEntry) {
-    match entry {
-        WalEntry::UnitAdded { unit } => {
-            out.push(1);
-            put_bytes(out, unit.as_bytes());
-        }
-        WalEntry::UnitLoaded { unit } => {
-            out.push(2);
-            put_bytes(out, unit.as_bytes());
-        }
-        WalEntry::UnitFinished { unit } => {
-            out.push(3);
-            put_bytes(out, unit.as_bytes());
-        }
-        WalEntry::UnitSpilled {
-            unit,
-            frame_len,
-            frame_xxh,
-        } => {
-            out.push(4);
-            put_bytes(out, unit.as_bytes());
-            out.extend_from_slice(&frame_len.to_le_bytes());
-            out.extend_from_slice(&frame_xxh.to_le_bytes());
-        }
-        WalEntry::UnitEvicted { unit } => {
-            out.push(5);
-            put_bytes(out, unit.as_bytes());
-        }
-        WalEntry::UnitDeleted { unit } => {
-            out.push(6);
-            put_bytes(out, unit.as_bytes());
-        }
-        WalEntry::SpillDropped { unit } => {
-            out.push(7);
-            put_bytes(out, unit.as_bytes());
-        }
-        WalEntry::RecordCommitted {
-            unit,
-            type_name,
-            key,
-        } => {
-            let mut parts = Vec::new();
-            key.iter().for_each(|k| put_bytes(&mut parts, k));
-            encode_commit(out, unit.as_deref(), type_name, key.len(), &parts);
-        }
+    if let WalEntry::RecordCommitted {
+        unit,
+        type_name,
+        key,
+    } = entry
+    {
+        let mut parts = Vec::new();
+        key.iter().for_each(|k| put_bytes(&mut parts, k));
+        return encode_commit(out, unit.as_deref(), type_name, key.len(), &parts);
+    }
+    // Every other entry is its tag and its unit name…
+    out.push(entry.tag_and_kind().0);
+    put_bytes(out, entry.unit().expect("lifecycle entry").as_bytes());
+    // …and a spill names the frame it published.
+    if let WalEntry::UnitSpilled {
+        frame_len,
+        frame_xxh,
+        ..
+    } = entry
+    {
+        out.extend_from_slice(&frame_len.to_le_bytes());
+        out.extend_from_slice(&frame_xxh.to_le_bytes());
     }
 }
 
@@ -236,13 +224,9 @@ fn encode_commit(
     key_count: usize,
     key: &[u8],
 ) {
-    out.push(8);
-    match unit {
-        Some(u) => {
-            out.push(1);
-            put_bytes(out, u.as_bytes());
-        }
-        None => out.push(0),
+    out.extend_from_slice(&[8, unit.is_some() as u8]);
+    if let Some(unit) = unit {
+        put_bytes(out, unit.as_bytes());
     }
     put_bytes(out, type_name.as_bytes());
     out.extend_from_slice(&(key_count as u32).to_le_bytes());
@@ -251,50 +235,48 @@ fn encode_commit(
 
 fn decode_entry(r: &mut Reader) -> Option<WalEntry> {
     let tag = r.u8()?;
+    if tag == 8 {
+        let unit = match r.u8()? {
+            0 => None,
+            _ => Some(r.string()?),
+        };
+        let type_name = r.string()?;
+        let key = (0..r.count(4)?)
+            .map(|_| r.bytes().map(<[u8]>::to_vec))
+            .collect::<Option<_>>()?;
+        return Some(WalEntry::RecordCommitted {
+            unit,
+            type_name,
+            key,
+        });
+    }
+    let unit = r.string()?;
     Some(match tag {
-        1 => WalEntry::UnitAdded { unit: r.string()? },
-        2 => WalEntry::UnitLoaded { unit: r.string()? },
-        3 => WalEntry::UnitFinished { unit: r.string()? },
+        1 => WalEntry::UnitAdded { unit },
+        2 => WalEntry::UnitLoaded { unit },
+        3 => WalEntry::UnitFinished { unit },
         4 => WalEntry::UnitSpilled {
-            unit: r.string()?,
+            unit,
             frame_len: r.u64()?,
             frame_xxh: r.u64()?,
         },
-        5 => WalEntry::UnitEvicted { unit: r.string()? },
-        6 => WalEntry::UnitDeleted { unit: r.string()? },
-        7 => WalEntry::SpillDropped { unit: r.string()? },
-        8 => {
-            let unit = match r.u8()? {
-                0 => None,
-                _ => Some(r.string()?),
-            };
-            let type_name = r.string()?;
-            let n = r.u32()? as usize;
-            let mut key = Vec::with_capacity(n);
-            for _ in 0..n {
-                key.push(r.bytes()?.to_vec());
-            }
-            WalEntry::RecordCommitted {
-                unit,
-                type_name,
-                key,
-            }
-        }
+        5 => WalEntry::UnitEvicted { unit },
+        6 => WalEntry::UnitDeleted { unit },
+        7 => WalEntry::SpillDropped { unit },
         _ => return None,
     })
 }
 
-/// Frame one record into `out` (cleared first): length prefix, LSN, the
-/// entry as `encode` writes it, checksum.
+/// Append one record to `out`: length prefix, then the LSN and the entry
+/// as `encode` writes it, sealed.
 fn encode_record(out: &mut Vec<u8>, lsn: u64, encode: impl FnOnce(&mut Vec<u8>)) {
-    out.clear();
+    let start = out.len();
     out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(&lsn.to_le_bytes());
     encode(out);
-    let body_len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&body_len.to_le_bytes());
-    let sum = xxh64(&out[4..], WAL_SEED);
-    out.extend_from_slice(&sum.to_le_bytes());
+    let body_len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    frame::seal(out, start + 4, WAL_SEED);
 }
 
 /// One decoded log record with its position in the file.
@@ -332,53 +314,38 @@ impl LogScan {
 /// file is an empty log, not an error; any framing, checksum or LSN
 /// violation ends the prefix (everything after it is a torn tail).
 pub fn scan_log(path: &Path) -> io::Result<LogScan> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(LogScan::default()),
-        Err(e) => return Err(e),
-    };
-    let mut scan = LogScan::default();
-    let mut pos = 0usize;
-    let mut expected_lsn = 1u64;
-    while pos + 4 <= data.len() {
-        let body_len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
-        if !(9..=MAX_BODY).contains(&body_len) {
-            break; // nonsense length prefix: torn or corrupt
-        }
-        let body_len = body_len as usize;
-        let Some(end) = pos.checked_add(4 + body_len + 8) else {
-            break;
-        };
-        if end > data.len() {
-            break; // torn mid-record
-        }
-        let body = &data[pos + 4..pos + 4 + body_len];
-        let stored = u64::from_le_bytes(data[end - 8..end].try_into().expect("8 bytes"));
-        if xxh64(body, WAL_SEED) != stored {
-            break; // corrupt record
-        }
-        let lsn = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-        if lsn != expected_lsn {
-            break; // LSN discontinuity: treat like corruption
-        }
-        let mut r = Reader::new(&body[8..]);
-        let Some(entry) = decode_entry(&mut r) else {
-            break;
-        };
-        if !r.done() {
-            break; // trailing garbage inside the body
-        }
-        scan.records.push(WalRecord {
-            lsn,
-            offset: pos as u64,
-            entry,
-        });
-        pos = end;
-        expected_lsn = lsn + 1;
+    match std::fs::read(path) {
+        Ok(data) => Ok(scan_bytes(&data)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(LogScan::default()),
+        Err(e) => Err(e),
     }
-    scan.valid_len = pos as u64;
-    scan.truncated = pos < data.len();
-    Ok(scan)
+}
+
+/// [`scan_log`] of a log already in memory.
+fn scan_bytes(data: &[u8]) -> LogScan {
+    let mut scan = LogScan::default();
+    let mut log = Reader::new(data);
+    loop {
+        let (offset, lsn) = (log.pos() as u64, scan.next_lsn());
+        let Some(entry) = next_record(&mut log, lsn) else {
+            scan.valid_len = offset;
+            scan.truncated = offset < data.len() as u64;
+            return scan;
+        };
+        scan.records.push(WalRecord { lsn, offset, entry });
+    }
+}
+
+/// The record at the head of `log`, if it is whole, its length prefix
+/// sane, its checksum right, its LSN the expected one and its body
+/// exactly one entry.
+fn next_record(log: &mut Reader, expected_lsn: u64) -> Option<WalEntry> {
+    let body_len = log.u32().filter(|n| (9..=MAX_BODY).contains(n))? as usize;
+    let mut r = Reader::new(frame::open(log.take(body_len + 8)?, WAL_SEED)?);
+    if r.u64()? != expected_lsn {
+        return None;
+    }
+    decode_entry(&mut r).filter(|_| r.done())
 }
 
 // ---------------------------------------------------------------------------
@@ -412,30 +379,20 @@ pub fn replay(scan: &LogScan) -> Replay {
     let mut out = Replay::default();
     for rec in &scan.records {
         out.entries += 1;
-        match &rec.entry {
-            WalEntry::UnitAdded { unit }
-            | WalEntry::UnitFinished { unit }
-            | WalEntry::UnitEvicted { unit } => {
-                out.units.entry(unit.clone()).or_default();
-            }
-            WalEntry::UnitLoaded { unit } => {
-                out.units.entry(unit.clone()).or_default().loaded = true;
-            }
+        let Some(unit) = rec.entry.unit() else {
+            continue;
+        };
+        let state = out.units.entry(unit.to_string()).or_default();
+        match rec.entry {
+            WalEntry::UnitLoaded { .. } => state.loaded = true,
             WalEntry::UnitSpilled {
-                unit,
                 frame_len,
                 frame_xxh,
-            } => {
-                out.units.entry(unit.clone()).or_default().spilled = Some((*frame_len, *frame_xxh));
-            }
-            WalEntry::UnitDeleted { unit } | WalEntry::SpillDropped { unit } => {
-                out.units.entry(unit.clone()).or_default().spilled = None;
-            }
-            WalEntry::RecordCommitted { unit, .. } => {
-                if let Some(unit) = unit {
-                    out.units.entry(unit.clone()).or_default().commits += 1;
-                }
-            }
+                ..
+            } => state.spilled = Some((frame_len, frame_xxh)),
+            WalEntry::UnitDeleted { .. } | WalEntry::SpillDropped { .. } => state.spilled = None,
+            WalEntry::RecordCommitted { .. } => state.commits += 1,
+            _ => {}
         }
     }
     out
@@ -467,13 +424,7 @@ pub(crate) struct Wal {
 impl Wal {
     /// Start a fresh log in `dir` (truncating any previous one).
     pub(crate) fn create(dir: &Path, sync_each: bool) -> io::Result<Wal> {
-        std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(WAL_FILE))?;
-        file.set_len(0)?;
-        Ok(Self::from_file(file, 1, sync_each))
+        Self::open_at(dir, sync_each, 1, 0)
     }
 
     /// Re-open an existing log for appending after recovery, truncating
@@ -490,11 +441,7 @@ impl Wal {
             .append(true)
             .open(dir.join(WAL_FILE))?;
         file.set_len(valid_len)?;
-        Ok(Self::from_file(file, next_lsn, sync_each))
-    }
-
-    fn from_file(file: File, next_lsn: u64, sync_each: bool) -> Wal {
-        Wal {
+        Ok(Wal {
             file,
             writer: Mutex::new((next_lsn, Vec::new())),
             appended_lsn: AtomicU64::new(next_lsn.saturating_sub(1)),
@@ -502,7 +449,7 @@ impl Wal {
             sync_lock: Mutex::new(()),
             sync_each,
             dead: AtomicBool::new(false),
-        }
+        })
     }
 
     /// Highest LSN ever appended (0 on a fresh log).
@@ -559,6 +506,7 @@ impl Wal {
             let mut writer = self.writer.lock();
             let (next, rec) = &mut *writer;
             lsn = *next;
+            rec.clear();
             encode_record(rec, lsn, encode);
             len = rec.len() as u64;
             if let Err(e) = (&self.file).write_all(rec) {
@@ -614,15 +562,15 @@ impl Wal {
 }
 
 // ---------------------------------------------------------------------------
-// snapshots (manifest + frozen frames)
+// recovery and snapshots
 // ---------------------------------------------------------------------------
 
 /// Result of [`crate::Gbo::snapshot`]: what the point-in-time copy holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// WAL LSN the snapshot is stamped with (0 when no WAL is active).
+    /// Live WAL LSN the snapshot was cut at (0 when no WAL is active).
     pub lsn: u64,
-    /// Units listed in the manifest.
+    /// Units named in the snapshot's log.
     pub units: usize,
     /// Frozen spill frames copied next to it.
     pub frames: usize,
@@ -639,110 +587,205 @@ pub struct RestoreInfo {
     pub frames: usize,
 }
 
-/// One manifest line: a unit and (optionally) its frozen frame.
-pub(crate) struct ManifestUnit {
-    pub(crate) name: String,
-    pub(crate) loaded: bool,
-    /// `(file name, length, trailing checksum)` of the frozen frame.
-    pub(crate) frame: Option<(String, u64, u64)>,
+/// The frames a scanned log leaves live, each with its `(length,
+/// trailing checksum)`, in LSN order of the `UnitSpilled` that published
+/// it — so adopting them in turn rebuilds the spill tier's recency.
+fn live_frames<'a>(scan: &'a LogScan, rep: &Replay) -> Vec<(&'a str, (u64, u64))> {
+    let mut seen = HashSet::new();
+    let mut live: Vec<_> = scan
+        .records
+        .iter()
+        .rev()
+        .filter_map(|rec| match &rec.entry {
+            WalEntry::UnitSpilled { unit, .. } if seen.insert(unit) => {
+                Some((unit.as_str(), rep.units.get(unit)?.spilled?))
+            }
+            _ => None,
+        })
+        .collect();
+    live.reverse();
+    live
 }
 
-/// Write the snapshot manifest atomically (tmp + rename). The body is
-/// itself checksummed, so a torn manifest is detected at restore.
-pub(crate) fn write_manifest(dir: &Path, lsn: u64, units: &[ManifestUnit]) -> io::Result<()> {
-    let mut body = String::from("GSNAP v1\n");
-    body.push_str(&format!("lsn {lsn}\n"));
-    for u in units {
-        let (file, len, xxh) = match &u.frame {
-            Some((f, l, x)) => (f.as_str(), *l, *x),
-            None => ("-", 0, 0),
+/// The shortest log that replays to `state` ([`replay`]'s inverse, less
+/// the commit counts), units in name order, LSNs 1…n.
+fn compacted_log(state: &BTreeMap<String, ReplayUnit>) -> Vec<u8> {
+    let (mut log, mut lsn) = (Vec::new(), 0);
+    let mut put = |entry: WalEntry| {
+        lsn += 1;
+        encode_record(&mut log, lsn, |out| encode_entry(out, &entry));
+    };
+    for (unit, state) in state {
+        let unit = || unit.clone();
+        put(WalEntry::UnitAdded { unit: unit() });
+        if state.loaded {
+            put(WalEntry::UnitLoaded { unit: unit() });
+        }
+        if let Some((frame_len, frame_xxh)) = state.spilled {
+            put(WalEntry::UnitSpilled {
+                unit: unit(),
+                frame_len,
+                frame_xxh,
+            });
+            put(WalEntry::UnitEvicted { unit: unit() });
+        }
+    }
+    log
+}
+
+impl Gbo {
+    /// Open a database with **crash recovery**: scan the WAL in
+    /// `config.wal_dir`, truncate any torn tail, rebuild the unit table
+    /// from the journaled lifecycle, re-adopt surviving checksummed
+    /// spill frames (warm restart — revisits re-materialize from disk
+    /// instead of re-running read callbacks), and continue journaling
+    /// to the same log. Without a `wal_dir` (or with
+    /// [`Durability::None`]) this is plain [`Gbo::with_config`] — a
+    /// cold start.
+    ///
+    /// Recovery invariants (DESIGN.md §5g): replay stops at the first
+    /// torn or corrupt record and *truncates* there rather than
+    /// erroring; every unit surviving replay re-enters `Registered`, so
+    /// schemas and read callbacks must be re-declared by the
+    /// application before waits; frames are adopted in journal order,
+    /// oldest first, within the tier's budget.
+    pub fn open_recovering(config: GboConfig) -> Result<Gbo> {
+        let dir = match (&config.wal_dir, config.durability) {
+            (Some(dir), Durability::Wal | Durability::WalSync) => dir.clone(),
+            _ => return Ok(Self::with_config(config)),
         };
-        body.push_str(&format!(
-            "unit {} loaded={} frame={} len={} xxh={:016x}\n",
-            sanitize(&u.name),
-            u.loaded as u8,
-            file,
-            len,
-            xxh
-        ));
-    }
-    let sum = xxh64(body.as_bytes(), WAL_SEED);
-    body.push_str(&format!("checksum {sum:016x}\n"));
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    std::fs::write(&tmp, body)?;
-    File::open(&tmp)?.sync_data()?;
-    std::fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_data();
-    }
-    Ok(())
-}
-
-fn manifest_err(msg: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("snapshot manifest: {msg}"),
-    )
-}
-
-/// Parse and verify a snapshot manifest: `(lsn, units)`.
-pub(crate) fn read_manifest(dir: &Path) -> io::Result<(u64, Vec<ManifestUnit>)> {
-    let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-    let (body, checksum_line) = text
-        .strip_suffix('\n')
-        .and_then(|t| t.rsplit_once('\n'))
-        .map(|(b, c)| (format!("{b}\n"), c))
-        .ok_or_else(|| manifest_err("too short"))?;
-    let stored = checksum_line
-        .strip_prefix("checksum ")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or_else(|| manifest_err("missing checksum line"))?;
-    if xxh64(body.as_bytes(), WAL_SEED) != stored {
-        return Err(manifest_err("checksum mismatch"));
-    }
-    let mut lines = body.lines();
-    if lines.next() != Some("GSNAP v1") {
-        return Err(manifest_err("bad magic"));
-    }
-    let lsn: u64 = lines
-        .next()
-        .and_then(|l| l.strip_prefix("lsn "))
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| manifest_err("missing lsn"))?;
-    let mut units = Vec::new();
-    for line in lines {
-        let rest = line
-            .strip_prefix("unit ")
-            .ok_or_else(|| manifest_err("unexpected line"))?;
-        let mut parts = rest.split(' ');
-        let name = parts
-            .next()
-            .and_then(crate::spill::desanitize)
-            .ok_or_else(|| manifest_err("bad unit name"))?;
-        let mut loaded = false;
-        let mut frame_file: Option<String> = None;
-        let mut len = 0u64;
-        let mut xxh = 0u64;
-        for p in parts {
-            if let Some(v) = p.strip_prefix("loaded=") {
-                loaded = v == "1";
-            } else if let Some(v) = p.strip_prefix("frame=") {
-                if v != "-" {
-                    frame_file = Some(v.to_string());
+        let path = dir.join(WAL_FILE);
+        let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let scan = scan_log(&path)?;
+        let rep = replay(&scan);
+        let sync = config.durability == Durability::WalSync;
+        let walh = Arc::new(Wal::open_at(&dir, sync, scan.next_lsn(), scan.valid_len)?);
+        let gbo = Self::build(config, Some(walh));
+        let inner = &gbo.inner;
+        let span_start = inner.tracer.now_us();
+        let truncated = file_len.saturating_sub(scan.valid_len);
+        inner.metrics.wal_replayed.add(rep.entries);
+        inner.metrics.wal_truncated.add(truncated);
+        {
+            let mut st = inner.units.lock();
+            for (name, ru) in &rep.units {
+                let entry = st
+                    .units
+                    .entry(name.clone())
+                    .or_insert_with(|| UnitEntry::new(name, None, UnitState::Registered, 0));
+                if ru.loaded {
+                    // Preserve revisit accounting: a recovered unit that
+                    // had loaded counts as previously-loaded, so its next
+                    // read is a revisit (spill hit or miss), not a first
+                    // load.
+                    entry.mark_loaded(&inner.units.clock);
                 }
-            } else if let Some(v) = p.strip_prefix("len=") {
-                len = v.parse().map_err(|_| manifest_err("bad len"))?;
-            } else if let Some(v) = p.strip_prefix("xxh=") {
-                xxh = u64::from_str_radix(v, 16).map_err(|_| manifest_err("bad xxh"))?;
             }
         }
-        units.push(ManifestUnit {
-            name,
-            loaded,
-            frame: frame_file.map(|f| (f, len, xxh)),
-        });
+        let mut adopted = 0u64;
+        if let Some(spill) = &inner.units.spill {
+            spill.sweep_tmp();
+            for (name, (len, xxh)) in live_frames(&scan, &rep) {
+                adopted += spill.adopt(&inner.metrics, &inner.tracer, name, len, xxh) as u64;
+            }
+        }
+        if inner.tracer.enabled() {
+            inner.tracer.complete(
+                "gbo",
+                "wal_replay",
+                span_start,
+                vec![
+                    ("records", rep.entries.into()),
+                    ("units", (rep.units.len() as u64).into()),
+                    ("frames_adopted", adopted.into()),
+                    ("truncated_bytes", truncated.into()),
+                ],
+            );
+        }
+        Ok(gbo)
     }
-    Ok((lsn, units))
+
+    /// Write a point-in-time snapshot of the database's durable state
+    /// into `dir`: copies of the live spill frames, at the path the
+    /// spill tier keeps them, and a compacted `wal.log` naming every
+    /// unit and every copied frame. The directory is a recoverable
+    /// database: [`Gbo::open_recovering`] with `wal_dir = dir` and a
+    /// spill tier over a `RealFs` at `dir` (same `SpillConfig::dir`)
+    /// warm-starts from it; [`Gbo::restore_snapshot`] seeds a run
+    /// elsewhere and leaves the snapshot untouched.
+    ///
+    /// Spill frames are immutable once published (eviction *replaces* a
+    /// frame by atomic rename, never mutates it in place), so the
+    /// copies are taken outside the database locks — an in-progress run
+    /// keeps committing while the snapshot is cut — and each is
+    /// checksum-verified before it is frozen.
+    pub fn snapshot(&self, dir: impl AsRef<Path>) -> Result<SnapshotInfo> {
+        let dst = RealFs::new(dir.as_ref())?;
+        let units = &self.inner.units;
+        let lsn = units.wal.as_ref().map_or(0, |w| w.last_lsn());
+        // Frames first, units second: the unit table only grows, so
+        // every copied frame's unit is in the listing.
+        let copied: HashMap<String, (u64, u64)> = match &units.spill {
+            Some(spill) => spill.copy_live(&dst)?.into_iter().collect(),
+            None => HashMap::new(),
+        };
+        let mut state = BTreeMap::new();
+        for (name, e) in &units.lock().units {
+            let unit = ReplayUnit {
+                loaded: e.loaded_seq > 0,
+                spilled: copied.get(name).copied(),
+                commits: 0, // a snapshot names units and frames, not records
+            };
+            state.insert(name.clone(), unit);
+        }
+        frame::publish(&dst, ".", WAL_FILE, &compacted_log(&state))?;
+        Ok(SnapshotInfo {
+            lsn,
+            units: state.len(),
+            frames: copied.len(),
+            bytes: copied.values().map(|(len, _)| len).sum(),
+        })
+    }
+
+    /// Seed a **new** run from a snapshot directory, leaving the
+    /// snapshot intact: copy the frames its log says are live into
+    /// `config`'s spill storage (looked up under `config.spill.dir`, as
+    /// the snapshotting tier laid them out) and publish the log itself
+    /// into `config.wal_dir`, so a subsequent [`Gbo::open_recovering`]
+    /// with the same config starts warm — cheap session forking off a
+    /// backup. Requires `config.wal_dir`; frames are only planted when
+    /// `config.spill` is set. A snapshot log with a torn or corrupt
+    /// record is an `InvalidData` error: a snapshot is published whole.
+    pub fn restore_snapshot(
+        snapshot_dir: impl AsRef<Path>,
+        config: &GboConfig,
+    ) -> Result<RestoreInfo> {
+        let snapshot_dir = snapshot_dir.as_ref();
+        let error = |kind, msg: &str| Err(GodivaError::from(io::Error::new(kind, msg)));
+        let Some(wal_dir) = &config.wal_dir else {
+            let msg = "restore_snapshot requires GboConfig.wal_dir";
+            return error(io::ErrorKind::InvalidInput, msg);
+        };
+        let log = std::fs::read(snapshot_dir.join(WAL_FILE))?;
+        let scan = scan_bytes(&log);
+        if scan.truncated {
+            let msg = "snapshot log: torn or corrupt record";
+            return error(io::ErrorKind::InvalidData, msg);
+        }
+        let rep = replay(&scan);
+        let mut frames = 0;
+        if let Some(spill) = &config.spill {
+            let src = RealFs::new(snapshot_dir)?;
+            let live = live_frames(&scan, &rep);
+            let live = live.iter().map(|&(unit, frame)| (unit, Some(frame)));
+            frames = crate::spill::copy_frames(&src, &*spill.storage, &spill.dir, live)?.len();
+        }
+        frame::publish(&RealFs::new(wal_dir)?, ".", WAL_FILE, &log)?;
+        Ok(RestoreInfo {
+            units: rep.units.len(),
+            frames,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -963,37 +1006,51 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// "Every byte of a `wal.log` record stays identical" is a claim
+    /// about the encoder, so it is pinned: the length and whole-file
+    /// XXH64 below were printed by the encoder as it stood before the
+    /// log was rebuilt on `crate::frame` (the WAL twin of the spill
+    /// tier's `frame_bytes_are_pinned_and_roundtrip`).
     #[test]
-    fn manifest_roundtrip_and_corruption() {
-        let dir = temp_dir("manifest");
-        let units = vec![
-            ManifestUnit {
-                name: "snap 1/a".into(),
-                loaded: true,
-                frame: Some(("snap%201%2Fa.gsp".into(), 42, 0xABCD)),
-            },
-            ManifestUnit {
-                name: "b".into(),
-                loaded: false,
-                frame: None,
-            },
-        ];
-        write_manifest(&dir, 17, &units).unwrap();
-        let (lsn, read) = read_manifest(&dir).unwrap();
-        assert_eq!(lsn, 17);
-        assert_eq!(read.len(), 2);
-        assert_eq!(read[0].name, "snap 1/a");
-        assert!(read[0].loaded);
-        assert_eq!(read[0].frame, Some(("snap%201%2Fa.gsp".into(), 42, 0xABCD)));
-        assert_eq!(read[1].name, "b");
-        assert!(!read[1].loaded);
-        assert!(read[1].frame.is_none());
-        // A flipped byte fails the manifest checksum.
-        let p = dir.join(MANIFEST_FILE);
-        let mut text = std::fs::read(&p).unwrap();
-        text[10] ^= 0x01;
-        std::fs::write(&p, &text).unwrap();
-        assert!(read_manifest(&dir).is_err());
+    fn wal_bytes_are_pinned() {
+        let dir = temp_dir("pinned");
+        let wal = Wal::create(&dir, false).unwrap();
+        let m = GboMetrics::new(None);
+        let t = Tracer::disabled();
+        for e in entries() {
+            wal.append(&m, &t, &e);
+        }
+        drop(wal);
+        let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        assert_eq!(bytes.len(), 288);
+        assert_eq!(frame::xxh64(&bytes, 0), 0xD1BE_16D5_D018_D201);
+        // The compacted-log writer frames records the same way.
+        let mut log = Vec::new();
+        for (i, e) in entries().iter().enumerate() {
+            encode_record(&mut log, i as u64 + 1, |out| encode_entry(out, e));
+        }
+        assert_eq!(log, bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// XXH64 is no secret, so a checksum-valid record can still lie: a
+    /// key count the record cannot hold ends the valid prefix instead of
+    /// sizing an allocation (this log used to abort `open_recovering`).
+    #[test]
+    fn hostile_key_count_truncates_not_allocates() {
+        let dir = temp_dir("hostile");
+        let mut log = Vec::new();
+        encode_record(&mut log, 1, |out| {
+            out.extend_from_slice(&[8, 0]); // RecordCommitted, no unit
+            put_bytes(out, b"t");
+            out.extend_from_slice(&u32::MAX.to_le_bytes());
+        });
+        let path = dir.join(WAL_FILE);
+        std::fs::write(&path, &log).unwrap();
+        let scan = scan_log(&path).unwrap();
+        assert!(scan.records.is_empty());
+        assert!(scan.truncated);
+        assert_eq!(scan.valid_len, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,6 +20,11 @@
 //! survives the crash and the resumed run must serve a revisit from a
 //! **re-adopted** frame: the trace must show a `spill_hit` for an
 //! adopted unit before any `spill_write` for that unit.
+//!
+//! A second case resumes from a **snapshot** instead of a crash: render
+//! with `--snapshot-out SNAP`, then `--resume` with `--wal-dir` and
+//! `--spill-dir` both pointed at a copy of `SNAP` — a snapshot
+//! directory is a log plus frames, which is all `--resume` asks for.
 
 use godiva_core::wal::scan_log;
 use std::collections::{BTreeMap, BTreeSet};
@@ -28,13 +33,6 @@ use std::process::{Command, Output};
 
 const VOYAGER: &str = env!("CARGO_BIN_EXE_voyager");
 const KILL_POINTS: usize = 3;
-
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("godiva-crash-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn run(dir: &Path, args: &[&str], env: &[(&str, String)]) -> Output {
     let mut cmd = Command::new(VOYAGER);
@@ -132,11 +130,14 @@ fn unit_arg(line: &str) -> Option<&str> {
     Some(&rest[..rest.find('"')?])
 }
 
-#[test]
-fn killed_render_resumes_to_identical_images() {
-    let dir = workdir();
-
-    // Tiny dataset + the stock test specs.
+/// A fresh work directory holding a tiny dataset + the stock test specs.
+fn workdir_with_dataset(case: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "godiva-crash-recovery-{case}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
     let gen = run(
         &dir,
         &["generate", "--data", "data", "--snapshots", "4"],
@@ -145,6 +146,33 @@ fn killed_render_resumes_to_identical_images() {
     assert!(gen.status.success(), "generate failed: {gen:?}");
     let specs = run(&dir, &["example-specs", "specs"], &[]);
     assert!(specs.status.success(), "example-specs failed: {specs:?}");
+    dir
+}
+
+/// Spill hits on units this process adopted and has not yet re-spilled:
+/// revisits that only a recovered frame can have served.
+fn adopted_revisits_in(trace: &Path) -> usize {
+    let (mut adopted, mut rewritten) = (BTreeSet::new(), BTreeSet::new());
+    let mut revisits = 0;
+    for line in std::fs::read_to_string(trace).unwrap().lines() {
+        let Some(unit) = unit_arg(line) else { continue };
+        if line.contains("\"name\":\"spill_adopt\"") {
+            adopted.insert(unit.to_string());
+        } else if line.contains("\"name\":\"spill_write\"") {
+            rewritten.insert(unit.to_string());
+        } else if line.contains("\"name\":\"spill_hit\"")
+            && adopted.contains(unit)
+            && !rewritten.contains(unit)
+        {
+            revisits += 1;
+        }
+    }
+    revisits
+}
+
+#[test]
+fn killed_render_resumes_to_identical_images() {
+    let dir = workdir_with_dataset("kill");
 
     let threads = io_threads().to_string();
     // Baseline, uninterrupted.
@@ -242,21 +270,7 @@ fn killed_render_resumes_to_identical_images() {
 
         // Revisit-from-adopted-frame: a spill_hit on an adopted unit
         // with no earlier spill_write for that unit in this process.
-        let mut adopted = BTreeSet::new();
-        let mut rewritten = BTreeSet::new();
-        for line in std::fs::read_to_string(dir.join(&trace)).unwrap().lines() {
-            let Some(unit) = unit_arg(line) else { continue };
-            if line.contains("\"name\":\"spill_adopt\"") {
-                adopted.insert(unit.to_string());
-            } else if line.contains("\"name\":\"spill_write\"") {
-                rewritten.insert(unit.to_string());
-            } else if line.contains("\"name\":\"spill_hit\"")
-                && adopted.contains(unit)
-                && !rewritten.contains(unit)
-            {
-                adopted_revisits += 1;
-            }
-        }
+        adopted_revisits += adopted_revisits_in(&dir.join(&trace));
     }
     // Kill points land strictly after the first journaled frame, so at
     // least one resumed run must have served a revisit from it. On the
@@ -270,6 +284,99 @@ fn killed_render_resumes_to_identical_images() {
             "no resumed run served a revisit from a re-adopted spill frame (seed {seed})"
         );
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let dst = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &dst);
+        } else {
+            std::fs::copy(entry.path(), dst).unwrap();
+        }
+    }
+}
+
+/// `--snapshot-out SNAP`, then `--resume` on a copy of `SNAP`: identical
+/// images, a replayed journal, revisits served from the snapshot's
+/// frames, and a trace `trace_check` accepts.
+#[test]
+fn snapshot_directory_resumes_a_render() {
+    let dir = workdir_with_dataset("snapshot");
+    let threads = io_threads().to_string();
+    let first = run(
+        &dir,
+        &render_args(
+            "spill0",
+            "wal0",
+            "out0",
+            &threads,
+            &["--snapshot-out", "snap"],
+        ),
+        &[],
+    );
+    assert!(first.status.success(), "first render failed: {first:?}");
+    let stdout = String::from_utf8_lossy(&first.stdout);
+    assert!(
+        stdout.contains("snapshot: lsn "),
+        "no snapshot line: {stdout}"
+    );
+    let scan = scan_log(&dir.join("snap").join("wal.log")).unwrap();
+    assert!(!scan.truncated && !scan.records.is_empty());
+
+    // The snapshot stays a backup: the resumed run appends to a copy.
+    copy_tree(&dir.join("snap"), &dir.join("resumed"));
+    let resumed = run(
+        &dir,
+        &render_args(
+            "resumed",
+            "resumed",
+            "out1",
+            &threads,
+            &[
+                "--resume",
+                "--metrics-json",
+                "metrics.json",
+                "--trace-out",
+                "trace.jsonl",
+            ],
+        ),
+        &[],
+    );
+    assert!(
+        resumed.status.success(),
+        "resume from the snapshot failed: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(frames(&dir, "out1"), frames(&dir, "out0"));
+    let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+    assert_eq!(
+        counter(&json, "gbo.wal_replayed"),
+        scan.records.len() as u64
+    );
+    assert!(
+        adopted_revisits_in(&dir.join("trace.jsonl")) > 0,
+        "no revisit was served from a frame adopted out of the snapshot"
+    );
+
+    // `trace_check` is godiva-obs's binary: it sits beside voyager when
+    // the workspace's tests are built together (`cargo test` from the
+    // root), not under `-p godiva-viz` alone.
+    let trace_check = Path::new(VOYAGER).with_file_name("trace_check");
+    assert!(
+        trace_check.exists(),
+        "{} is missing: cargo build -p godiva-obs --bin trace_check",
+        trace_check.display()
+    );
+    let checked = Command::new(trace_check)
+        .arg(dir.join("trace.jsonl"))
+        .output()
+        .expect("trace_check must spawn");
+    assert!(checked.status.success(), "trace_check: {checked:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
