@@ -8,7 +8,7 @@
 //! The C++ library hands out raw buffer pointers; the visualization code
 //! "accesses the buffer directly as if the buffer is a user-allocated
 //! array". The Rust equivalent is an immutable, [`Arc`]-shared
-//! [`FieldData`]: [`crate::Gbo::get_field_buffer`] returns a cheap
+//! [`FieldData`]: [`crate::Records::get_field_buffer`] returns a cheap
 //! [`FieldRef`] clone whose typed views (`f64s()`, `bytes()`, …) are plain
 //! slices, and eviction merely drops the database's own reference, so an
 //! outstanding handle can never dangle. A field changes only when its

@@ -1,16 +1,16 @@
 //! The GODIVA database — the paper's GBO (GODIVA Buffer Object).
 //!
-//! This module is the public facade over four internal layers (see
-//! DESIGN.md §5e):
+//! This module is the public facade over three internal layers and the
+//! telemetry they share (see DESIGN.md §5e):
 //!
 //! - [`crate::store`] — schema registry, record table and key index
 //!   behind their own lock (§3.1, §3.3's RB-tree equivalent),
-//! - [`crate::units`] — unit table, reference counts, LRU clock,
-//!   prefetch queue and the memory budget (§3.2–3.3),
-//! - [`crate::sched`] — the pluggable queue policy feeding the workers
-//!   (FIFO by default, exactly the paper's behaviour),
+//! - [`crate::units`] — unit table, reference counts, LRU clock, the
+//!   FIFO prefetch queue and the memory budget (§3.2–3.3),
 //! - [`crate::exec`] — the I/O executor: `GboConfig::io_threads` reader
-//!   worker threads, panic isolation, retry, wait/deadlock logic.
+//!   worker threads, panic isolation, retry, wait/deadlock logic,
+//! - [`crate::telemetry`] — counters, tracers, flight recorder and the
+//!   one definition of every event the layers report.
 //!
 //! The public API mirrors the paper's interface names in snake case:
 //! `define_field`, `define_record`, `insert_field`, `commit_record_type`,
@@ -24,15 +24,15 @@
 use crate::buffer::{FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
 use crate::exec::Executor;
-use crate::metrics::GboMetrics;
-use crate::sched::SchedulerKind;
 use crate::schema::{DeclaredSize, FieldKind, RecordTypeDef};
 use crate::stats::GboStats;
 use crate::store::Store;
-use crate::unit::{EvictionPolicy, ReadFn, ReadFunction, UnitState};
-use crate::units::{AllocCtx, UnitEntry, UnitTag, Units};
-use crate::wal::{Durability, Wal, WalEntry};
+use crate::telemetry::Telemetry;
+use crate::unit::{EvictionPolicy, ReadFunction, UnitState};
+use crate::units::{AllocCtx, UnitTag, Units};
+use crate::wal::{Durability, Wal};
 use godiva_obs::{FlightRecorder, MetricsRegistry, Tracer};
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -123,8 +123,6 @@ pub struct GboConfig {
     /// `background_io: false` (every read happens inline in
     /// `wait_unit`).
     pub io_threads: usize,
-    /// Ordering policy of the prefetch queue (paper: FIFO).
-    pub scheduler: SchedulerKind,
     /// Eviction policy for finished units (paper: LRU).
     pub eviction: EvictionPolicy,
     /// Retry policy for transiently failing read functions, applied by
@@ -190,7 +188,6 @@ impl Default for GboConfig {
             mem_limit: 256 * 1024 * 1024,
             background_io: true,
             io_threads: 1,
-            scheduler: SchedulerKind::Fifo,
             eviction: EvictionPolicy::Lru,
             retry: RetryPolicy::none(),
             tracer: Tracer::disabled(),
@@ -205,42 +202,21 @@ impl Default for GboConfig {
     }
 }
 
-/// Shared core of one database: the four layers plus the cross-layer
-/// services (retry policy, metrics, tracer, flight recorder). Methods
-/// that orchestrate across layers live in the layer modules as `impl
-/// Inner` blocks (`exec` owns read execution and waits; record
-/// operations below stitch store and units together).
+/// Shared core of one database: the layers, the retry policy and the
+/// telemetry every layer also holds. A layer owns the services it uses;
+/// an operation that needs a *sibling* layer is an `impl Inner` block in
+/// the module it belongs to (`units`: charge, evict, delete, reset;
+/// `exec`: read execution and waits; `spill`: re-materialization).
 pub(crate) struct Inner {
     pub(crate) store: Store,
     pub(crate) units: Units,
     pub(crate) retry: RetryPolicy,
-    /// Lock-free counters/histograms behind [`Gbo::stats`]. Updated at
-    /// the instrumented call sites, several of them outside any lock
-    /// (the mutexes' release-acquire ordering makes the Relaxed counter
-    /// updates visible to any reader that observed the corresponding
-    /// state change).
-    pub(crate) metrics: GboMetrics,
-    /// Event tracer. Emitting while holding a state lock is safe: the
-    /// lock order is always state → sink, never the reverse. When a
-    /// flight recorder is installed this tracer fans out to it, so the
-    /// recorder's ring always holds the most recent `gbo` events.
-    pub(crate) tracer: Tracer,
-    /// Where the per-record events go (`record_commit`, `key_lookup`,
-    /// the `wal_append` of a record commit): `tracer` when the user
-    /// attached one, nowhere otherwise. Hundreds of them per unit would
-    /// push the unit lifecycles a post-mortem is read for out of the
-    /// flight recorder's ring, and building them would be most of an
-    /// untraced lookup's cost.
-    pub(crate) record_tracer: Tracer,
-    /// Crash flight recorder (see [`GboConfig::flight_recorder`]).
-    pub(crate) flight_recorder: Option<Arc<FlightRecorder>>,
-    /// Post-mortem destination override.
-    pub(crate) postmortem_path: Option<PathBuf>,
+    pub(crate) tel: Arc<Telemetry>,
 }
 
 /// The GODIVA database object. See the [module docs](self).
 pub struct Gbo {
-    pub(crate) inner: Arc<Inner>,
+    records: Records,
     exec: Executor,
     watchdog: Option<Watchdog>,
     /// Optional window-backed health engine behind [`Gbo::pressure`];
@@ -253,20 +229,6 @@ pub struct Gbo {
 struct Watchdog {
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Sum of the lifecycle counters whose movement proves the pipeline is
-/// making progress. Deliberately excludes `units_added`: enqueuing more
-/// work while nothing completes is exactly a stall.
-fn progress_signature(m: &GboMetrics) -> u64 {
-    m.units_read
-        .get()
-        .wrapping_add(m.units_failed.get())
-        .wrapping_add(m.units_retried.get())
-        .wrapping_add(m.units_reset.get())
-        .wrapping_add(m.cache_hits.get())
-        .wrapping_add(m.spill_hits.get())
-        .wrapping_add(m.evictions.get())
 }
 
 impl Watchdog {
@@ -283,7 +245,8 @@ impl Watchdog {
             .name("godiva-watchdog".into())
             .spawn(move || {
                 let nap = (interval / 4).max(Duration::from_millis(5));
-                let mut last_sig = progress_signature(&inner.metrics);
+                let tel = &inner.tel;
+                let mut last_sig = tel.progress_signature();
                 let mut quiet_since = std::time::Instant::now();
                 while !stop2.load(Ordering::Relaxed) {
                     std::thread::sleep(nap);
@@ -297,30 +260,16 @@ impl Watchdog {
                         }
                         st.queue.len() as u64
                     };
-                    let in_flight = inner.metrics.io_workers_busy.get();
-                    let outstanding = queued + in_flight;
-                    let sig = progress_signature(&inner.metrics);
-                    if sig != last_sig || outstanding == 0 {
+                    let in_flight = tel.metrics.io_workers_busy.get();
+                    let sig = tel.progress_signature();
+                    if sig != last_sig || queued + in_flight == 0 {
                         last_sig = sig;
                         quiet_since = std::time::Instant::now();
                         continue;
                     }
                     let stalled = quiet_since.elapsed();
                     if stalled >= interval {
-                        inner.metrics.watchdog_stalls.inc();
-                        if inner.tracer.enabled() {
-                            inner.tracer.instant(
-                                "gbo",
-                                "watchdog_stall",
-                                vec![
-                                    ("queued", outstanding.into()),
-                                    ("queue_depth", queued.into()),
-                                    ("in_flight", in_flight.into()),
-                                    ("stalled_ms", (stalled.as_millis() as u64).into()),
-                                ],
-                            );
-                        }
-                        inner.dump_postmortem("watchdog_stall");
+                        tel.watchdog_stall(queued, in_flight, stalled);
                         // Re-arm: a stall persisting another full
                         // interval counts again, so the health engine's
                         // windowed delta keeps the alert firing for as
@@ -344,93 +293,6 @@ impl Watchdog {
     }
 }
 
-impl Inner {
-    // ------------------------------------------------------------------
-    // record operations (stitching the store and units layers together;
-    // lock order is always units → store)
-    // ------------------------------------------------------------------
-
-    /// Create a record of `type_name`, owned by `unit` if given. The
-    /// unit lock is held across the store's insertion, the charge and
-    /// the unit's record list, so the three stay consistent with
-    /// concurrent eviction.
-    fn new_record(
-        self: &Arc<Self>,
-        type_name: &str,
-        unit: Option<&Arc<UnitTag>>,
-        ctx: AllocCtx,
-    ) -> Result<RecordHandle> {
-        let mut st = self.units.lock();
-        let (id, rt, total) = self.store.install_record(type_name, unit)?;
-        let charged = self.units.charge(
-            &mut st,
-            &self.store,
-            &self.metrics,
-            &self.tracer,
-            total,
-            ctx,
-            unit.map(|u| &**u),
-        );
-        if let Err(e) = charged {
-            self.store.remove_records(&[id]);
-            return Err(e);
-        }
-        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
-            u.records.push(id);
-        }
-        self.metrics.records_created.inc();
-        Ok(RecordHandle {
-            inner: Arc::clone(self),
-            id,
-            ctx,
-            rt,
-            unit: unit.cloned(),
-        })
-    }
-
-    /// Key lookup. Takes the store lock only: the LRU touch of the
-    /// owning unit is an atomic stamp the record shares with it.
-    pub(crate) fn lookup(&self, record_type: &str, field: &str, keys: &[Key]) -> Result<FieldRef> {
-        self.store.lookup(
-            &self.metrics,
-            &self.record_tracer,
-            &self.units.clock,
-            record_type,
-            field,
-            keys,
-        )
-    }
-
-    /// Write the flight recorder's ring to the post-mortem path (the
-    /// configured one, or `godiva-postmortem-<pid>.jsonl` in the temp
-    /// dir). Returns the path on success; `None` when no recorder is
-    /// installed or the write failed. Must not be called with a state
-    /// lock held — this does file I/O.
-    ///
-    /// The destination is per-process, so repeated failures (common in
-    /// fault-injection tests) overwrite rather than accumulate; the
-    /// stderr announcement happens once per process for the same reason.
-    pub(crate) fn dump_postmortem(&self, reason: &str) -> Option<PathBuf> {
-        let recorder = self.flight_recorder.as_ref()?;
-        let path = self.postmortem_path.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("godiva-postmortem-{}.jsonl", std::process::id()))
-        });
-        match recorder.dump_to_path(&path, reason) {
-            Ok(events) => {
-                static ANNOUNCED: AtomicBool = AtomicBool::new(false);
-                if !ANNOUNCED.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "godiva: post-mortem trace ({reason}, {events} events) written to {}",
-                        path.display()
-                    );
-                }
-                Some(path)
-            }
-            Err(_) => None,
-        }
-    }
-}
-
 impl Gbo {
     /// Create a database with a memory budget in **megabytes**, matching
     /// the paper's `new GBO(400)` constructor. Background I/O enabled.
@@ -446,20 +308,22 @@ impl Gbo {
     /// one is truncated) — use [`Gbo::open_recovering`] to resume from
     /// an existing log instead.
     pub fn with_config(config: GboConfig) -> Self {
-        let wal = Self::fresh_wal(&config);
-        Self::build(config, wal)
+        let tel = Telemetry::new(&config);
+        let wal = Self::fresh_wal(&config, &tel);
+        Self::build(config, tel, wal)
     }
 
     /// Start a fresh WAL per the config, or `None` when journaling is
     /// off. Construction is infallible, so a WAL that cannot be opened
     /// degrades to running without one (announced once on stderr) — the
     /// database must not refuse to start over a durability add-on.
-    fn fresh_wal(config: &GboConfig) -> Option<Arc<Wal>> {
+    fn fresh_wal(config: &GboConfig, tel: &Arc<Telemetry>) -> Option<Arc<Wal>> {
         let dir = config.wal_dir.as_ref()?;
         if config.durability == Durability::None {
             return None;
         }
-        match Wal::create(dir, config.durability == Durability::WalSync) {
+        let sync = config.durability == Durability::WalSync;
+        match Wal::create(dir, sync, Arc::clone(tel)) {
             Ok(w) => Some(Arc::new(w)),
             Err(e) => {
                 eprintln!(
@@ -471,47 +335,30 @@ impl Gbo {
         }
     }
 
-    pub(crate) fn build(config: GboConfig, wal: Option<Arc<Wal>>) -> Self {
-        // Tee the tracer into the flight recorder so the ring always
-        // holds the tail of the event stream — even when no user tracer
-        // is configured (the tee then records into the ring alone).
-        let traced = config.tracer.enabled();
-        let tracer = match &config.flight_recorder {
-            Some(recorder) => config
-                .tracer
-                .tee(Arc::clone(recorder) as Arc<dyn godiva_obs::TraceSink>),
-            None => config.tracer,
-        };
-        let record_tracer = if traced {
-            tracer.clone()
-        } else {
-            Tracer::disabled()
-        };
+    /// Assemble a database whose layers all report to `tel` (which the
+    /// caller created first, so `wal` already holds it too).
+    pub(crate) fn build(config: GboConfig, tel: Arc<Telemetry>, wal: Option<Arc<Wal>>) -> Self {
         let workers = if config.background_io {
             config.io_threads
         } else {
             0
         };
+        let spill = config
+            .spill
+            .map(|s| crate::spill::SpillTier::new(s, wal.clone(), Arc::clone(&tel)));
         let inner = Arc::new(Inner {
-            store: Store::new(),
+            store: Store::new(Arc::clone(&tel), wal.clone()),
             units: Units::new(
-                config.scheduler.build(),
+                Arc::clone(&tel),
                 config.mem_limit,
                 config.eviction,
                 workers,
-                config
-                    .spill
-                    .map(|s| crate::spill::SpillTier::new(s, wal.clone())),
+                spill,
                 wal,
             ),
             retry: config.retry,
-            metrics: GboMetrics::new(config.metrics.as_deref()),
-            tracer,
-            record_tracer,
-            flight_recorder: config.flight_recorder,
-            postmortem_path: config.postmortem_path,
+            tel,
         });
-        inner.metrics.mem_limit.set(config.mem_limit);
         let exec = Executor::spawn(&inner, workers);
         // The watchdog only makes sense with background readers: in
         // inline mode a queued unit legitimately sits idle until the
@@ -521,155 +368,29 @@ impl Gbo {
             _ => None,
         };
         Gbo {
-            inner,
+            records: Records {
+                inner,
+                unit: None,
+                ctx: AllocCtx::Foreground,
+            },
             exec,
             watchdog,
             health: parking_lot::Mutex::new(None),
         }
     }
 
-    // --- schema (record operation interfaces, §3.1) ---------------------
-
-    /// `defineField(name, type, size)`.
-    pub fn define_field(&self, name: &str, kind: FieldKind, size: DeclaredSize) -> Result<()> {
-        self.inner
-            .store
-            .lock()
-            .schema
-            .define_field(name, kind, size)
-    }
-
-    /// `defineRecord(name, n_key_fields)`.
-    pub fn define_record(&self, name: &str, key_fields: usize) -> Result<()> {
-        self.inner
-            .store
-            .lock()
-            .schema
-            .define_record(name, key_fields)
-    }
-
-    /// `insertField(record, field, is_key)`.
-    pub fn insert_field(&self, record: &str, field: &str, is_key: bool) -> Result<()> {
-        self.inner
-            .store
-            .lock()
-            .schema
-            .insert_field(record, field, is_key)
-    }
-
-    /// `commitRecordType(record)`.
-    pub fn commit_record_type(&self, record: &str) -> Result<()> {
-        self.inner.store.lock().schema.commit_record_type(record)
-    }
-
-    /// `newRecord(type)`: create a record (outside any unit) and return a
-    /// handle for filling its buffers.
-    pub fn new_record(&self, type_name: &str) -> Result<RecordHandle> {
-        self.inner.new_record(type_name, None, AllocCtx::Foreground)
-    }
-
-    /// `commitRecord(record)`: snapshot the key fields and insert the
-    /// record into the index.
-    pub fn commit_record(&self, record: &RecordHandle) -> Result<()> {
-        record.commit()
-    }
-
-    // --- dataset query interfaces (§3.1) --------------------------------
-
-    /// `getFieldBuffer(recordType, field, keyValues)`: locate the buffer
-    /// of `field` in the record identified by `keys` (in key-field
-    /// insertion order).
-    pub fn get_field_buffer(
-        &self,
-        record_type: &str,
-        field: &str,
-        keys: &[Key],
-    ) -> Result<FieldRef> {
-        self.inner.lookup(record_type, field, keys)
-    }
-
-    /// `getFieldBufferSize(...)`: like [`Gbo::get_field_buffer`] but
-    /// returns the buffer size in bytes.
-    pub fn get_field_buffer_size(
-        &self,
-        record_type: &str,
-        field: &str,
-        keys: &[Key],
-    ) -> Result<u64> {
-        Ok(self.inner.lookup(record_type, field, keys)?.byte_len())
-    }
-
     // --- background I/O interfaces (§3.2) --------------------------------
 
     /// `addUnit(name, readFunction)`: non-blocking; appends the unit to
-    /// the prefetch queue (FIFO by default).
+    /// the FIFO prefetch queue.
     pub fn add_unit(&self, name: &str, reader: impl ReadFunction + 'static) -> Result<()> {
-        self.inner.units.add_unit(
-            &self.inner.metrics,
-            &self.inner.tracer,
-            name,
-            0,
-            Arc::new(reader),
-        )
-    }
-
-    /// Like [`Gbo::add_unit`], with a scheduling priority (larger =
-    /// read sooner). Only meaningful under
-    /// [`SchedulerKind::Priority`]; the default FIFO scheduler ignores
-    /// priorities, preserving the paper's strict arrival order.
-    pub fn add_unit_with_priority(
-        &self,
-        name: &str,
-        priority: i64,
-        reader: impl ReadFunction + 'static,
-    ) -> Result<()> {
-        self.inner.units.add_unit(
-            &self.inner.metrics,
-            &self.inner.tracer,
-            name,
-            priority,
-            Arc::new(reader),
-        )
+        self.inner.units.add_unit(name, Arc::new(reader))
     }
 
     /// `readUnit(name, readFunction)`: blocking explicit read of a unit
     /// on the calling thread (used by interactive tools, §3.2).
     pub fn read_unit(&self, name: &str, reader: impl ReadFunction + 'static) -> Result<()> {
-        {
-            let mut st = self.inner.units.lock();
-            if st.shutdown {
-                return Err(GodivaError::Shutdown);
-            }
-            let reader: ReadFn = Arc::new(reader);
-            match st.units.get_mut(name) {
-                None => {
-                    st.units.insert(
-                        name.to_string(),
-                        UnitEntry::new(name, Some(reader), UnitState::Registered, 0),
-                    );
-                    self.inner.metrics.units_added.inc();
-                    self.inner.units.journal(
-                        &self.inner.metrics,
-                        &self.inner.tracer,
-                        WalEntry::UnitAdded {
-                            unit: name.to_string(),
-                        },
-                    );
-                    if self.inner.tracer.enabled() {
-                        self.inner.tracer.instant(
-                            "gbo",
-                            "unit_added",
-                            vec![("unit", name.into()), ("queued", false.into())],
-                        );
-                    }
-                }
-                Some(entry) => {
-                    if entry.state == UnitState::Registered {
-                        entry.reader = Some(reader);
-                    }
-                }
-            }
-        }
+        self.inner.units.arm_for_read(name, Arc::new(reader))?;
         self.inner.wait_loaded(name, true, None)
     }
 
@@ -695,12 +416,7 @@ impl Gbo {
     /// are dropped first, so the read function starts clean — no
     /// `delete_unit` + `add_unit` dance required after a fault clears.
     pub fn reset_unit(&self, name: &str) -> Result<()> {
-        self.inner.units.reset_unit(
-            &self.inner.store,
-            &self.inner.metrics,
-            &self.inner.tracer,
-            name,
-        )
+        self.inner.reset_unit(name)
     }
 
     /// Like [`Gbo::wait_unit`], but returns an RAII guard that calls
@@ -713,27 +429,19 @@ impl Gbo {
         Ok(UnitGuard {
             inner: Arc::clone(&self.inner),
             name: name.to_string(),
-            released: false,
         })
     }
 
     /// `finishUnit(name)`: unpin; at zero pins the unit becomes
     /// evictable but stays queryable until memory pressure evicts it.
     pub fn finish_unit(&self, name: &str) -> Result<()> {
-        self.inner
-            .units
-            .finish_unit(&self.inner.metrics, &self.inner.tracer, name)
+        self.inner.units.finish_unit(name)
     }
 
     /// `deleteUnit(name)`: drop the unit's records immediately. The unit
     /// stays registered and may be re-added or re-read later.
     pub fn delete_unit(&self, name: &str) -> Result<()> {
-        self.inner.units.delete_unit(
-            &self.inner.store,
-            &self.inner.metrics,
-            &self.inner.tracer,
-            name,
-        )
+        self.inner.delete_unit(name)
     }
 
     /// `setMemSpace(bytes)`: adjust the memory budget at runtime.
@@ -742,7 +450,7 @@ impl Gbo {
             let mut st = self.inner.units.lock();
             st.mem_limit = bytes;
         }
-        self.inner.metrics.mem_limit.set(bytes);
+        self.inner.tel.metrics.mem_limit.set(bytes);
         self.inner.units.work_cv.notify_all();
     }
 
@@ -801,7 +509,7 @@ impl Gbo {
     /// only the authoritative `mem_used` figure comes from the unit
     /// lock.
     pub fn stats(&self) -> GboStats {
-        let mut s = self.inner.metrics.snapshot();
+        let mut s = self.inner.tel.metrics.snapshot();
         s.mem_used = self.inner.units.lock().mem_used;
         s
     }
@@ -811,14 +519,14 @@ impl Gbo {
     /// [`Tracer::clone`] — with the other layers of a pipeline so all
     /// events land on one timeline.
     pub fn tracer(&self) -> &Tracer {
-        &self.inner.tracer
+        self.inner.tel.tracer()
     }
 
     /// The crash flight recorder, if one is installed (the default). Its
     /// ring holds the most recent `gbo` events; the database dumps it
     /// automatically on reader panics and detected deadlocks.
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.inner.flight_recorder.as_ref()
+        self.inner.tel.flight_recorder.as_ref()
     }
 
     /// Dump the flight recorder's ring as a JSONL post-mortem right now
@@ -826,7 +534,7 @@ impl Gbo {
     /// written path, or `None` when no recorder is installed or the
     /// write failed.
     pub fn dump_postmortem(&self, reason: &str) -> Option<PathBuf> {
-        self.inner.dump_postmortem(reason)
+        self.inner.tel.dump_postmortem(reason)
     }
 
     /// Attach a health engine handle so [`Gbo::pressure`] answers from
@@ -893,7 +601,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct UnitGuard {
     inner: Arc<Inner>,
     name: String,
-    released: bool,
 }
 
 impl UnitGuard {
@@ -903,94 +610,151 @@ impl UnitGuard {
     }
 
     /// Finish the unit now (same as drop, but explicit).
-    pub fn finish(mut self) {
-        self.release();
-    }
-
-    fn release(&mut self) {
-        if !self.released {
-            self.released = true;
-            let _ =
-                self.inner
-                    .units
-                    .finish_unit(&self.inner.metrics, &self.inner.tracer, &self.name);
-        }
-    }
+    pub fn finish(self) {}
 }
 
 impl Drop for UnitGuard {
     fn drop(&mut self) {
-        self.release();
+        let _ = self.inner.units.finish_unit(&self.name);
     }
 }
 
-/// The view of the database a [`ReadFunction`] works through: all record
-/// operations are available, and every record created is tagged with the
-/// unit being read.
-pub struct UnitSession {
+/// The record operation and query interfaces (§3.1), as a [`Gbo`] and
+/// a [`UnitSession`] both offer them: each derefs to one of these. A
+/// session's tags every record it creates with the unit being read;
+/// the database's own creates records outside any unit.
+pub struct Records {
     pub(crate) inner: Arc<Inner>,
-    pub(crate) unit: Arc<UnitTag>,
-    pub(crate) ctx: AllocCtx,
+    /// The unit new records belong to, if any.
+    unit: Option<Arc<UnitTag>>,
+    /// How an allocation behaves when the budget is exhausted.
+    ctx: AllocCtx,
 }
 
-impl UnitSession {
-    /// Name of the unit being read (read functions typically dispatch on
-    /// this — e.g. it names the file to open).
-    pub fn unit(&self) -> &str {
-        &self.unit.name
-    }
-
-    /// `defineField` — see [`Gbo::define_field`].
+impl Records {
+    /// `defineField(name, type, size)`.
     pub fn define_field(&self, name: &str, kind: FieldKind, size: DeclaredSize) -> Result<()> {
-        self.inner
-            .store
-            .lock()
-            .schema
-            .define_field(name, kind, size)
+        let mut store = self.inner.store.lock();
+        store.schema.define_field(name, kind, size)
     }
 
-    /// `defineRecord` — see [`Gbo::define_record`].
+    /// `defineRecord(name, n_key_fields)`.
     pub fn define_record(&self, name: &str, key_fields: usize) -> Result<()> {
-        self.inner
-            .store
-            .lock()
-            .schema
-            .define_record(name, key_fields)
+        let mut store = self.inner.store.lock();
+        store.schema.define_record(name, key_fields)
     }
 
-    /// `insertField` — see [`Gbo::insert_field`].
+    /// `insertField(record, field, is_key)`.
     pub fn insert_field(&self, record: &str, field: &str, is_key: bool) -> Result<()> {
-        self.inner
-            .store
-            .lock()
-            .schema
-            .insert_field(record, field, is_key)
+        let mut store = self.inner.store.lock();
+        store.schema.insert_field(record, field, is_key)
     }
 
-    /// `commitRecordType` — see [`Gbo::commit_record_type`].
+    /// `commitRecordType(record)`.
     pub fn commit_record_type(&self, record: &str) -> Result<()> {
         self.inner.store.lock().schema.commit_record_type(record)
     }
 
-    /// `newRecord`: create a record owned by this unit.
+    /// `newRecord(type)`: create a record — owned by the unit being read
+    /// when called on a session — and return a handle for filling its
+    /// buffers. The unit lock is held across the store's insertion, the
+    /// charge and the unit's record list (lock order units → store), so
+    /// the three stay consistent with concurrent eviction.
     pub fn new_record(&self, type_name: &str) -> Result<RecordHandle> {
-        self.inner.new_record(type_name, Some(&self.unit), self.ctx)
+        let (inner, unit) = (&self.inner, self.unit.as_ref());
+        let mut st = inner.units.lock();
+        let (id, rt, total) = inner.store.install_record(type_name, unit)?;
+        if let Err(e) = inner.charge(&mut st, total, self.ctx, self.unit.as_deref()) {
+            inner.store.remove_records(&[id]);
+            return Err(e);
+        }
+        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
+            u.records.push(id);
+        }
+        inner.tel.metrics.records_created.inc();
+        Ok(RecordHandle {
+            inner: Arc::clone(inner),
+            id,
+            ctx: self.ctx,
+            rt,
+            unit: self.unit.clone(),
+        })
     }
 
-    /// `commitRecord`.
+    /// `commitRecord(record)`: snapshot the key fields and insert the
+    /// record into the index.
     pub fn commit_record(&self, record: &RecordHandle) -> Result<()> {
         record.commit()
     }
 
-    /// Query interface, usable for cross-record metadata sharing during
-    /// a read (footnote 1 of the paper).
+    /// `getFieldBuffer(recordType, field, keyValues)`: locate the buffer
+    /// of `field` in the record identified by `keys` (in key-field
+    /// insertion order). Takes the store lock only: the LRU touch of
+    /// the owning unit is an atomic stamp the record shares with it. In
+    /// a read function this is the cross-record metadata sharing of the
+    /// paper's footnote 1.
     pub fn get_field_buffer(
         &self,
         record_type: &str,
         field: &str,
         keys: &[Key],
     ) -> Result<FieldRef> {
-        self.inner.lookup(record_type, field, keys)
+        let clock = &self.inner.units.clock;
+        self.inner.store.lookup(clock, record_type, field, keys)
+    }
+
+    /// `getFieldBufferSize(...)`: like [`Records::get_field_buffer`] but
+    /// returns the buffer size in bytes.
+    pub fn get_field_buffer_size(
+        &self,
+        record_type: &str,
+        field: &str,
+        keys: &[Key],
+    ) -> Result<u64> {
+        Ok(self.get_field_buffer(record_type, field, keys)?.byte_len())
+    }
+}
+
+impl Deref for Gbo {
+    type Target = Records;
+
+    fn deref(&self) -> &Records {
+        &self.records
+    }
+}
+
+/// The view of the database a [`ReadFunction`] works through: all
+/// [`Records`] operations are available, and every record created is
+/// tagged with the unit being read.
+pub struct UnitSession {
+    records: Records,
+    unit: Arc<UnitTag>,
+}
+
+impl UnitSession {
+    pub(crate) fn new(inner: &Arc<Inner>, unit: &Arc<UnitTag>, ctx: AllocCtx) -> Self {
+        UnitSession {
+            records: Records {
+                inner: Arc::clone(inner),
+                unit: Some(Arc::clone(unit)),
+                ctx,
+            },
+            unit: Arc::clone(unit),
+        }
+    }
+
+    /// Name of the unit being read (read functions typically dispatch on
+    /// this — e.g. it names the file to open).
+    pub fn unit(&self) -> &str {
+        &self.unit.name
+    }
+}
+
+impl Deref for UnitSession {
+    type Target = Records;
+
+    fn deref(&self) -> &Records {
+        &self.records
     }
 }
 
@@ -1053,22 +817,10 @@ impl RecordHandle {
         let mut st = inner.units.lock();
         let (buf, old_len) = inner.store.set_field(self.id, slot, data)?;
         if new_len > old_len {
-            inner.units.charge(
-                &mut st,
-                &inner.store,
-                &inner.metrics,
-                &inner.tracer,
-                new_len - old_len,
-                self.ctx,
-                self.unit.as_deref(),
-            )?;
+            inner.charge(&mut st, new_len - old_len, self.ctx, self.unit.as_deref())?;
         } else {
-            inner.units.release(
-                &mut st,
-                &inner.metrics,
-                old_len - new_len,
-                self.unit.as_deref(),
-            );
+            let unit = self.unit.as_deref();
+            inner.units.release(&mut st, old_len - new_len, unit);
         }
         Ok(buf)
     }
@@ -1129,11 +881,6 @@ impl RecordHandle {
 
     /// Commit this record into the key index.
     pub fn commit(&self) -> Result<()> {
-        self.inner.store.commit_record(
-            &self.inner.metrics,
-            &self.inner.record_tracer,
-            self.inner.units.wal.as_deref(),
-            self.id,
-        )
+        self.inner.store.commit_record(self.id)
     }
 }

@@ -19,9 +19,8 @@
 use crate::db::{Inner, UnitSession};
 use crate::error::{GodivaError, Result};
 use crate::unit::UnitState;
-use crate::units::AllocCtx;
+use crate::units::{unknown_unit, AllocCtx};
 use crate::wal::WalEntry;
-use godiva_obs::ArgValue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,15 +55,6 @@ impl Executor {
     }
 }
 
-/// The worker id as a trace argument: the actual id on a worker, `-1`
-/// for inline reads on an application thread.
-fn worker_arg(ctx: AllocCtx) -> ArgValue {
-    match ctx.worker() {
-        Some(id) => (id as u64).into(),
-        None => (-1i64).into(),
-    }
-}
-
 impl Inner {
     /// Invoke `name`'s read function under `ctx`, with panic isolation
     /// and the configured retry policy. The unit must already be marked
@@ -89,10 +79,7 @@ impl Inner {
         // A miss or a corrupt frame falls through to the normal path.
         let (tag, reader) = {
             let st = self.units.lock();
-            let entry = st
-                .units
-                .get(name)
-                .ok_or_else(|| GodivaError::UnitError(format!("unknown unit '{name}'")))?;
+            let entry = st.units.get(name).ok_or_else(|| unknown_unit(name))?;
             (Arc::clone(&entry.tag), entry.reader.clone())
         };
         if self.try_restore_spill(&tag, ctx)? {
@@ -102,113 +89,28 @@ impl Inner {
             reader.ok_or_else(|| GodivaError::UnitError(format!("unit '{name}' has no reader")))?;
         let mut attempt = 1u32;
         loop {
-            let span_start = self.tracer.now_us();
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    "gbo",
-                    "read_start",
-                    vec![
-                        ("unit", name.into()),
-                        ("attempt", attempt.into()),
-                        ("worker", worker_arg(ctx)),
-                    ],
-                );
-            }
+            let read = self.tel.read_start(name, attempt, ctx);
             // Liveness-test hook: GODIVA_STALL_AT=read_start:<hit>:<ms>
             // wedges this attempt to provoke the watchdog.
             crate::crash::stall_point("read_start");
             let attempt_t0 = Instant::now();
-            let session = UnitSession {
-                inner: Arc::clone(self),
-                unit: Arc::clone(&tag),
-                ctx,
-            };
+            let session = UnitSession::new(self, &tag, ctx);
             let err = match catch_unwind(AssertUnwindSafe(|| reader.read(&session))) {
                 Ok(Ok(())) => {
-                    self.metrics.read_hist.record(attempt_t0.elapsed());
-                    if self.tracer.enabled() {
-                        self.tracer.instant(
-                            "gbo",
-                            "read_done",
-                            vec![
-                                ("unit", name.into()),
-                                ("attempt", attempt.into()),
-                                ("worker", worker_arg(ctx)),
-                            ],
-                        );
-                        self.tracer.complete(
-                            "gbo",
-                            "read_unit",
-                            span_start,
-                            vec![
-                                ("unit", name.into()),
-                                ("ok", true.into()),
-                                ("worker", worker_arg(ctx)),
-                            ],
-                        );
-                    }
+                    read.done(attempt_t0.elapsed());
                     return Ok(());
                 }
                 Ok(Err(e)) => e,
                 Err(payload) => {
-                    self.metrics.panics_caught.inc();
                     let message = format!("panicked: {}", crate::db::panic_message(&payload));
-                    if self.tracer.enabled() {
-                        self.tracer.instant(
-                            "gbo",
-                            "read_failed",
-                            vec![
-                                ("unit", name.into()),
-                                ("attempt", attempt.into()),
-                                ("worker", worker_arg(ctx)),
-                                ("error", message.as_str().into()),
-                                ("panic", true.into()),
-                            ],
-                        );
-                        self.tracer.complete(
-                            "gbo",
-                            "read_unit",
-                            span_start,
-                            vec![
-                                ("unit", name.into()),
-                                ("ok", false.into()),
-                                ("worker", worker_arg(ctx)),
-                            ],
-                        );
-                    }
-                    // A panicking read function is the flight recorder's
-                    // raison d'être: dump the ring now (no lock is held
-                    // here), while the tail still shows the lead-up.
-                    self.dump_postmortem("reader_panic");
+                    read.panicked(&message);
                     return Err(GodivaError::ReadFailed {
                         unit: name.to_string(),
                         message,
                     });
                 }
             };
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    "gbo",
-                    "read_failed",
-                    vec![
-                        ("unit", name.into()),
-                        ("attempt", attempt.into()),
-                        ("worker", worker_arg(ctx)),
-                        ("error", err.to_string().into()),
-                        ("transient", err.is_transient().into()),
-                    ],
-                );
-                self.tracer.complete(
-                    "gbo",
-                    "read_unit",
-                    span_start,
-                    vec![
-                        ("unit", name.into()),
-                        ("ok", false.into()),
-                        ("worker", worker_arg(ctx)),
-                    ],
-                );
-            }
+            read.failed(&err);
             if attempt >= self.retry.attempts() || !err.is_transient() {
                 return Err(err);
             }
@@ -221,26 +123,12 @@ impl Inner {
                 // Roll back the failed attempt's partial records so the
                 // retry starts from an empty unit (drop_unit_data parks
                 // the unit in Registered; restore Reading).
-                self.units
-                    .drop_unit_data(&mut st, &self.store, &self.metrics, name);
+                self.drop_unit_data(&mut st, name);
                 if let Some(u) = st.units.get_mut(name) {
                     u.state = UnitState::Reading;
                 }
             }
-            self.metrics.units_retried.inc();
-            self.metrics.retry_backoff.add_duration(backoff);
-            self.metrics.backoff_hist.record(backoff);
-            if self.tracer.enabled() {
-                self.tracer.instant(
-                    "gbo",
-                    "read_retry",
-                    vec![
-                        ("unit", name.into()),
-                        ("next_attempt", (attempt + 1).into()),
-                        ("backoff_us", (backoff.as_micros() as u64).into()),
-                    ],
-                );
-            }
+            self.tel.read_retry(name, attempt + 1, backoff);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -273,7 +161,7 @@ impl Inner {
         timeout: Option<Duration>,
     ) -> Result<()> {
         let started = Instant::now();
-        let span_start = self.tracer.now_us();
+        let span_start = self.tel.now_us();
         let deadline = timeout.map(|t| started + t);
         let background = self.units.worker_count > 0;
         let mut blocked = false;
@@ -285,7 +173,7 @@ impl Inner {
         let result = loop {
             let mut st = self.units.lock();
             let Some(entry) = st.units.get_mut(name) else {
-                break Err(GodivaError::UnitError(format!("unknown unit '{name}'")));
+                break Err(unknown_unit(name));
             };
             match entry.state.clone() {
                 UnitState::Ready | UnitState::Finished => {
@@ -294,7 +182,7 @@ impl Inner {
                     served_tid = entry.loaded_by;
                     entry.tag.touch(&self.units.clock);
                     if !blocked {
-                        self.metrics.cache_hits.inc();
+                        self.tel.metrics.cache_hits.inc();
                     }
                     break Ok(());
                 }
@@ -308,7 +196,7 @@ impl Inner {
                     // Not queued: do a blocking read on this thread
                     // (interactive mode, or a revisit after eviction).
                     entry.state = UnitState::Reading;
-                    self.metrics.blocking_reads.inc();
+                    self.tel.metrics.blocking_reads.inc();
                     drop(st);
                     blocked = true;
                     if let Err(e) = self.run_inline(name) {
@@ -319,10 +207,10 @@ impl Inner {
                 UnitState::Queued if !background || explicit_read => {
                     // Single-thread GODIVA performs the read inside
                     // wait_unit (§4.2); read_unit is always explicit.
-                    self.units.unqueue(&mut st, &self.metrics, name);
+                    self.units.unqueue(&mut st, name);
                     let entry = st.units.get_mut(name).expect("present");
                     entry.state = UnitState::Reading;
-                    self.metrics.blocking_reads.inc();
+                    self.tel.metrics.blocking_reads.inc();
                     drop(st);
                     blocked = true;
                     if let Err(e) = self.run_inline(name) {
@@ -350,20 +238,8 @@ impl Inner {
                     };
                     if let Some((worker, need)) = stuck {
                         if !st.has_evictable() {
-                            self.metrics.deadlocks_detected.inc();
-                            if self.tracer.enabled() {
-                                self.tracer.instant(
-                                    "gbo",
-                                    "deadlock_detected",
-                                    vec![
-                                        ("unit", name.into()),
-                                        ("worker", (worker as u64).into()),
-                                        ("needed_bytes", need.into()),
-                                        ("mem_used", st.mem_used.into()),
-                                        ("mem_limit", st.mem_limit.into()),
-                                    ],
-                                );
-                            }
+                            let (used, limit) = (st.mem_used, st.mem_limit);
+                            self.tel.deadlock_detected(name, worker, need, used, limit);
                             break Err(GodivaError::Deadlock {
                                 unit: name.to_string(),
                                 worker,
@@ -395,20 +271,7 @@ impl Inner {
                                     .map(|u| u.state.is_loaded())
                                     .unwrap_or(false);
                                 if !loaded {
-                                    self.metrics.wait_timeouts.inc();
-                                    if self.tracer.enabled() {
-                                        self.tracer.instant(
-                                            "gbo",
-                                            "wait_timeout",
-                                            vec![
-                                                ("unit", name.into()),
-                                                (
-                                                    "waited_us",
-                                                    (started.elapsed().as_micros() as u64).into(),
-                                                ),
-                                            ],
-                                        );
-                                    }
+                                    self.tel.wait_timeout(name, started.elapsed());
                                     break Err(GodivaError::WaitTimeout {
                                         unit: name.to_string(),
                                         waited: started.elapsed(),
@@ -421,24 +284,14 @@ impl Inner {
             }
         };
         if blocked {
-            // Lock-free: the old implementation re-took the state lock
-            // just to bump this.
             let waited = started.elapsed();
-            self.metrics.wait_time.add_duration(waited);
-            self.metrics.wait_hist.record(waited);
-            if self.tracer.enabled() {
-                let mut args: godiva_obs::Args =
-                    vec![("unit", name.into()), ("ok", result.is_ok().into())];
-                if result.is_ok() && served_tid != 0 {
-                    args.push(("served_tid", served_tid.into()));
-                }
-                self.tracer.complete("gbo", "wait_unit", span_start, args);
-            }
+            self.tel
+                .wait_done(name, waited, result.is_ok(), served_tid, span_start);
         }
         // Deadlock is detected under the unit lock, but the post-mortem
         // write is file I/O — do it out here, lock released.
         if matches!(result, Err(GodivaError::Deadlock { .. })) {
-            self.dump_postmortem("deadlock");
+            self.tel.dump_postmortem("deadlock");
         }
         result
     }
@@ -460,10 +313,7 @@ impl Inner {
                         if st.mem_used < st.mem_limit {
                             break;
                         }
-                        if self
-                            .units
-                            .evict_one(&mut st, &self.store, &self.metrics, &self.tracer)
-                        {
+                        if self.evict_one(&mut st) {
                             continue;
                         }
                         // Memory full, nothing evictable: block, flagged
@@ -477,21 +327,21 @@ impl Inner {
                     }
                     self.units.work_cv.wait(&mut st);
                 }
-                let name = st.queue.pop().expect("non-empty");
-                self.units.sync_queue_gauge(&st, &self.metrics);
+                let name = st.queue.pop_front().expect("non-empty");
+                self.units.sync_queue_gauge(&st);
                 let entry = st.units.get_mut(&name).expect("queued unit exists");
                 entry.state = UnitState::Reading;
                 entry.reading_worker = Some(worker);
-                self.metrics.background_reads.inc();
+                self.tel.metrics.background_reads.inc();
                 name
             };
 
             // Panic isolation + retry live inside run_reader: a
             // panicking or transiently failing read function can never
             // kill this worker — the unit just ends up Failed.
-            self.metrics.io_workers_busy.inc();
+            self.tel.metrics.io_workers_busy.inc();
             let result = self.run_reader(&name, AllocCtx::Worker(worker));
-            self.metrics.io_workers_busy.dec();
+            self.tel.metrics.io_workers_busy.dec();
 
             self.finish_read(&name, &result);
         }
@@ -508,18 +358,14 @@ impl Inner {
                     entry.state = UnitState::Ready;
                     entry.mark_loaded(&self.units.clock);
                     entry.loaded_by = godiva_obs::current_tid();
-                    self.units.journal(
-                        &self.metrics,
-                        &self.tracer,
-                        WalEntry::UnitLoaded {
-                            unit: name.to_string(),
-                        },
-                    );
-                    self.metrics.units_read.inc();
+                    self.units.journal(WalEntry::UnitLoaded {
+                        unit: name.to_string(),
+                    });
+                    self.tel.metrics.units_read.inc();
                 }
                 Err(e) => {
                     entry.state = UnitState::Failed(e.to_string());
-                    self.metrics.units_failed.inc();
+                    self.tel.metrics.units_failed.inc();
                 }
             }
         }

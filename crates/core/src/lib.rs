@@ -81,19 +81,20 @@ pub mod error;
 mod exec;
 mod frame;
 mod metrics;
-pub mod sched;
 pub mod schema;
 pub mod spill;
 pub mod stats;
 mod store;
+mod telemetry;
 pub mod unit;
 mod units;
 pub mod wal;
 
 pub use buffer::{FieldData, FieldRef, Key};
-pub use db::{Gbo, GboConfig, RecordHandle, RecordId, RetryPolicy, UnitGuard, UnitSession};
+pub use db::{
+    Gbo, GboConfig, RecordHandle, RecordId, Records, RetryPolicy, UnitGuard, UnitSession,
+};
 pub use error::{GodivaError, Result};
-pub use sched::{FifoPolicy, PriorityPolicy, QueuePolicy, SchedulerKind};
 pub use schema::{DeclaredSize, FieldKind, FieldSlot, FieldTypeDef, RecordTypeDef, Schema};
 pub use spill::SpillConfig;
 pub use stats::GboStats;

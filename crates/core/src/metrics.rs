@@ -1,9 +1,8 @@
 //! The database's metric set: one lock-free handle per [`GboStats`]
 //! counter, plus the latency histograms behind the Display summary.
 //!
-//! Call sites in `db.rs` update these handles directly (a single atomic
-//! op each — no lock required, and several happen outside the state
-//! lock entirely). [`GboMetrics::snapshot`] assembles a [`GboStats`]
+//! [`crate::telemetry::Telemetry`] holds the set; each update is a
+//! single atomic op. [`GboMetrics::snapshot`] assembles a [`GboStats`]
 //! from them. When a [`MetricsRegistry`] is supplied via
 //! `GboConfig::metrics`, every handle is registered under a `gbo.*`
 //! name so `voyager --metrics-summary` (and anything else holding the

@@ -49,12 +49,11 @@ use crate::buffer::FieldData;
 use crate::db::Inner;
 use crate::error::Result;
 use crate::frame::{self, put_bytes, sanitize, Reader};
-use crate::metrics::GboMetrics;
 use crate::schema::FieldKind;
 use crate::store::{EncodedKey, RecordId, Store};
+use crate::telemetry::Telemetry;
 use crate::units::{AllocCtx, UnitTag};
 use crate::wal::{Wal, WalEntry};
-use godiva_obs::Tracer;
 use godiva_platform::Storage;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -111,10 +110,11 @@ pub(crate) struct SpillTier {
     /// write lock is the innermost lock in the database, so appending
     /// while holding the tier's own (formerly innermost) lock is safe.
     wal: Option<Arc<Wal>>,
+    tel: Arc<Telemetry>,
 }
 
 impl SpillTier {
-    pub(crate) fn new(config: SpillConfig, wal: Option<Arc<Wal>>) -> Self {
+    pub(crate) fn new(config: SpillConfig, wal: Option<Arc<Wal>>, tel: Arc<Telemetry>) -> Self {
         SpillTier {
             storage: config.storage,
             dir: config.dir,
@@ -125,6 +125,7 @@ impl SpillTier {
                 clock: 0,
             }),
             wal,
+            tel,
         }
     }
 
@@ -134,14 +135,7 @@ impl SpillTier {
 
     /// Forget `unit`'s own entry (its file is about to be replaced) and
     /// evict LRU frames until `len` more bytes fit the budget.
-    fn make_room(
-        &self,
-        st: &mut SpillState,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        unit: &str,
-        len: u64,
-    ) {
+    fn make_room(&self, st: &mut SpillState, unit: &str, len: u64) {
         if let Some(old) = st.entries.remove(unit) {
             st.used = st.used.saturating_sub(old.len);
         }
@@ -152,18 +146,18 @@ impl SpillTier {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(name, _)| name.clone());
             let Some(victim) = victim else { break };
-            self.remove_entry(st, metrics, tracer, &victim, "budget");
+            self.remove_entry(st, &victim, "budget");
         }
     }
 
     /// Enter `unit`'s `len`-byte frame as the most recently used.
-    fn insert(&self, st: &mut SpillState, metrics: &GboMetrics, unit: &str, len: u64) {
+    fn insert(&self, st: &mut SpillState, unit: &str, len: u64) {
         st.clock += 1;
         let last_use = st.clock;
         st.entries
             .insert(unit.to_string(), SpillEntry { len, last_use });
         st.used += len;
-        metrics.spill_bytes.set(st.used);
+        self.tel.metrics.spill_bytes.set(st.used);
     }
 
     /// Store `frame` as `unit`'s spill file, evicting LRU files to make
@@ -174,92 +168,47 @@ impl SpillTier {
     /// The publish is crash-atomic ([`frame::publish`]): a crash mid-evict
     /// leaves either the old frame, no frame, or the complete new frame,
     /// never a truncated one that would later count as `spill_corrupt`.
-    pub(crate) fn store_unit(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        unit: &str,
-        frame: Vec<u8>,
-    ) {
+    pub(crate) fn store_unit(&self, unit: &str, frame: Vec<u8>) {
         let len = frame.len() as u64;
         let Some(frame_xxh) = frame::trailer(&frame).filter(|_| len <= self.budget) else {
             return; // would evict the whole tier for one unit / no frame
         };
         let mut st = self.state.lock();
-        self.make_room(&mut st, metrics, tracer, unit, len);
+        self.make_room(&mut st, unit, len);
         if frame::publish(&*self.storage, &self.dir, &file_of(unit), &frame).is_err() {
-            metrics.spill_bytes.set(st.used);
+            self.tel.metrics.spill_bytes.set(st.used);
             return;
         }
         if let Some(wal) = &self.wal {
-            wal.append(
-                metrics,
-                tracer,
-                &WalEntry::UnitSpilled {
-                    unit: unit.to_string(),
-                    frame_len: len,
-                    frame_xxh,
-                },
-            );
+            wal.append(&WalEntry::UnitSpilled {
+                unit: unit.to_string(),
+                frame_len: len,
+                frame_xxh,
+            });
         }
-        self.insert(&mut st, metrics, unit, len);
-        metrics.spill_writes.inc();
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "spill_write",
-                vec![
-                    ("unit", unit.into()),
-                    ("bytes", len.into()),
-                    ("spill_bytes", st.used.into()),
-                ],
-            );
-        }
+        self.insert(&mut st, unit, len);
+        self.tel.spill_write(unit, len, st.used);
     }
 
     /// Drop `unit`'s spill file (if any) because its data became invalid
     /// — the unit was deleted, or re-armed with a new read function.
-    pub(crate) fn invalidate(&self, metrics: &GboMetrics, tracer: &Tracer, unit: &str) {
-        let mut st = self.state.lock();
-        self.remove_entry(&mut st, metrics, tracer, unit, "invalidate");
+    pub(crate) fn invalidate(&self, unit: &str) {
+        self.remove_entry(&mut self.state.lock(), unit, "invalidate");
     }
 
     /// Remove one entry and delete its file.
-    fn remove_entry(
-        &self,
-        st: &mut SpillState,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        unit: &str,
-        cause: &str,
-    ) {
+    fn remove_entry(&self, st: &mut SpillState, unit: &str, cause: &str) {
         let Some(entry) = st.entries.remove(unit) else {
             return;
         };
         st.used = st.used.saturating_sub(entry.len);
         let _ = self.storage.delete(&self.path_of(unit));
         if let Some(wal) = &self.wal {
-            wal.append(
-                metrics,
-                tracer,
-                &WalEntry::SpillDropped {
-                    unit: unit.to_string(),
-                },
-            );
+            wal.append(&WalEntry::SpillDropped {
+                unit: unit.to_string(),
+            });
         }
-        metrics.spill_bytes.set(st.used);
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "spill_evict",
-                vec![
-                    ("unit", unit.into()),
-                    ("freed_bytes", entry.len.into()),
-                    ("spill_bytes", st.used.into()),
-                    ("cause", cause.into()),
-                ],
-            );
-        }
+        self.tel.spill_evict(unit, entry.len, st.used, cause);
     }
 
     /// Recovery: re-adopt a frame the WAL says should exist, as the most
@@ -267,14 +216,7 @@ impl SpillTier {
     /// match the journaled length and trailing checksum (the frame body
     /// is still fully verified on each load); older frames make room for
     /// it exactly as for a new spill. Returns whether it was adopted.
-    pub(crate) fn adopt(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        unit: &str,
-        frame_len: u64,
-        frame_xxh: u64,
-    ) -> bool {
+    pub(crate) fn adopt(&self, unit: &str, frame_len: u64, frame_xxh: u64) -> bool {
         let path = self.path_of(unit);
         let matches = self.storage.len(&path).ok() == Some(frame_len)
             && (8..=self.budget).contains(&frame_len)
@@ -288,15 +230,9 @@ impl SpillTier {
             return false;
         }
         let mut st = self.state.lock();
-        self.make_room(&mut st, metrics, tracer, unit, frame_len);
-        self.insert(&mut st, metrics, unit, frame_len);
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "spill_adopt",
-                vec![("unit", unit.into()), ("bytes", frame_len.into())],
-            );
-        }
+        self.make_room(&mut st, unit, frame_len);
+        self.insert(&mut st, unit, frame_len);
+        self.tel.spill_adopt(unit, frame_len);
         true
     }
 
@@ -324,12 +260,7 @@ impl SpillTier {
     /// rewrites it cleanly) before returning `None`. The file is *kept*
     /// on a successful load (LRU touch only) so the unit can be evicted
     /// straight back to it.
-    fn load_unit(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        unit: &str,
-    ) -> Option<Vec<RecordFrame>> {
+    fn load_unit(&self, unit: &str) -> Option<Vec<RecordFrame>> {
         {
             let mut st = self.state.lock();
             let clock = st.clock + 1;
@@ -341,14 +272,8 @@ impl SpillTier {
         let frame = self.storage.read(&self.path_of(unit)).ok()?;
         let records = frame::open(&frame, 0).and_then(|body| decode_unit(body, unit));
         if records.is_none() {
-            metrics.spill_corrupt.inc();
-            if tracer.enabled() {
-                let bytes = frame.len() as u64;
-                let args = vec![("unit", unit.into()), ("bytes", bytes.into())];
-                tracer.instant("gbo", "spill_corrupt", args);
-            }
-            let mut st = self.state.lock();
-            self.remove_entry(&mut st, metrics, tracer, unit, "corrupt");
+            self.tel.spill_corrupt(unit, frame.len() as u64);
+            self.remove_entry(&mut self.state.lock(), unit, "corrupt");
         }
         records
     }
@@ -563,14 +488,10 @@ impl Inner {
                 .get(name)
                 .is_some_and(|u| u.loaded_seq > 0);
             if re_read {
-                self.metrics.spill_misses.inc();
-                if self.tracer.enabled() {
-                    self.tracer
-                        .instant("gbo", "spill_miss", vec![("unit", name.into())]);
-                }
+                self.tel.spill_miss(name);
             }
         };
-        let Some(records) = spill.load_unit(&self.metrics, &self.tracer, name) else {
+        let Some(records) = spill.load_unit(name) else {
             miss();
             return Ok(false);
         };
@@ -579,17 +500,9 @@ impl Inner {
             .flat_map(|r| r.fields.iter().flatten())
             .map(|d| d.byte_len())
             .sum();
-        let span_start = self.tracer.now_us();
+        let span_start = self.tel.now_us();
         let mut st = self.units.lock();
-        self.units.charge(
-            &mut st,
-            &self.store,
-            &self.metrics,
-            &self.tracer,
-            total,
-            ctx,
-            Some(unit),
-        )?;
+        self.charge(&mut st, total, ctx, Some(unit))?;
         let mut installed: Vec<RecordId> = Vec::with_capacity(records.len());
         for rec in records {
             match self.store.restore_record(rec, unit) {
@@ -598,10 +511,9 @@ impl Inner {
                     // Partial restore (schema drift, duplicate key):
                     // roll everything back and fall back to the reader.
                     self.store.remove_records(&installed);
-                    self.units
-                        .release(&mut st, &self.metrics, total, Some(unit));
+                    self.units.release(&mut st, total, Some(unit));
                     drop(st);
-                    spill.invalidate(&self.metrics, &self.tracer, name);
+                    spill.invalidate(name);
                     miss();
                     return Ok(false);
                 }
@@ -611,20 +523,7 @@ impl Inner {
             entry.records.extend(installed);
         }
         drop(st);
-        self.metrics.spill_hits.inc();
-        if self.tracer.enabled() {
-            self.tracer.instant(
-                "gbo",
-                "spill_hit",
-                vec![("unit", name.into()), ("bytes", total.into())],
-            );
-            self.tracer.complete(
-                "gbo",
-                "spill_restore",
-                span_start,
-                vec![("unit", name.into()), ("bytes", total.into())],
-            );
-        }
+        self.tel.spill_hit(name, total, span_start);
         Ok(true)
     }
 }

@@ -18,12 +18,11 @@
 use crate::buffer::{FieldData, FieldRef, Key};
 use crate::error::{GodivaError, Result};
 use crate::frame::{put_bytes, Reader};
-use crate::metrics::GboMetrics;
 use crate::schema::{DeclaredSize, RecordTypeDef, Schema};
 use crate::spill::RecordFrame;
+use crate::telemetry::Telemetry;
 use crate::units::UnitTag;
 use crate::wal::Wal;
-use godiva_obs::Tracer;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -156,6 +155,10 @@ pub(crate) struct StoreState {
 /// The store layer: one lock over schema + records + index.
 pub(crate) struct Store {
     state: Mutex<StoreState>,
+    tel: Arc<Telemetry>,
+    /// Journal for record commits (the WAL lock is innermost, so
+    /// appending under the store lock is safe); `None` when off.
+    wal: Option<Arc<Wal>>,
 }
 
 fn no_record(id: RecordId) -> GodivaError {
@@ -188,8 +191,10 @@ fn index_of(index: &mut Vec<Index>, type_id: usize) -> &mut Index {
 }
 
 impl Store {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(tel: Arc<Telemetry>, wal: Option<Arc<Wal>>) -> Self {
         Store {
+            tel,
+            wal,
             state: Mutex::new(StoreState {
                 schema: Schema::new(),
                 records: HashMap::default(),
@@ -342,18 +347,9 @@ impl Store {
             })
     }
 
-    /// Snapshot the key fields of `id` and insert it into the index.
-    /// When a `wal` is active the commit is journaled (the WAL lock is
-    /// innermost, so appending under the store lock is safe). `tracer`
-    /// is the database's per-record tracer: it also decides whether the
-    /// journal append is traced.
-    pub(crate) fn commit_record(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        wal: Option<&Wal>,
-        id: RecordId,
-    ) -> Result<()> {
+    /// Snapshot the key fields of `id`, insert it into the index and
+    /// journal the commit.
+    pub(crate) fn commit_record(&self, id: RecordId) -> Result<()> {
         let mut guard = self.lock();
         let st = &mut *guard;
         let rec = st.records.get_mut(&id).ok_or_else(|| no_record(id))?;
@@ -379,32 +375,18 @@ impl Store {
         let key = EncodedKey::new(&st.scratch);
         idx.insert(key.clone(), id);
         rec.key = Some(key);
-        if let Some(wal) = wal {
-            wal.append_commit(
-                metrics,
-                tracer,
-                rec.unit.as_ref().map(|u| u.name.as_str()),
-                &rec.rt,
-                &st.scratch,
-            );
+        if let Some(wal) = &self.wal {
+            let unit = rec.unit.as_ref().map(|u| u.name.as_str());
+            wal.append_commit(unit, &rec.rt, &st.scratch);
         }
-        metrics.records_committed.inc();
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "record_commit",
-                vec![("type", rec.rt.name.as_str().into()), ("record", id.into())],
-            );
-        }
+        self.tel.record_commit(&rec.rt.name, id);
         Ok(())
     }
 
     /// Key lookup, stamping the owning unit as used at `clock`'s next
-    /// tick. `tracer` is the database's per-record tracer.
+    /// tick.
     pub(crate) fn lookup(
         &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
         clock: &AtomicU64,
         record_type: &str,
         field: &str,
@@ -412,7 +394,6 @@ impl Store {
     ) -> Result<FieldRef> {
         let mut guard = self.lock();
         let st = &mut *guard;
-        metrics.queries.inc();
         let rt = st.schema.committed_record(record_type);
         let id = rt.as_ref().ok().and_then(|rt| {
             st.scratch.clear();
@@ -421,15 +402,8 @@ impl Store {
             }
             st.index.get(rt.id)?.get(st.scratch.as_slice())
         });
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "key_lookup",
-                vec![("type", record_type.into()), ("hit", id.is_some().into())],
-            );
-        }
+        self.tel.key_lookup(record_type, id.is_some());
         let Some(id) = id else {
-            metrics.query_misses.inc();
             // Distinguish "unknown type" from "no such key" for callers.
             rt?;
             return Err(GodivaError::NotFound(format!(

@@ -15,16 +15,15 @@
 //! bytes it needs, and the deadlock check (§3.3, in the `exec` layer)
 //! inspects that set instead of a unique I/O thread.
 
+use crate::db::Inner;
 use crate::error::{GodivaError, Result};
-use crate::metrics::GboMetrics;
-use crate::sched::QueuePolicy;
 use crate::spill::SpillTier;
-use crate::store::{RecordId, Store};
+use crate::store::RecordId;
+use crate::telemetry::Telemetry;
 use crate::unit::{EvictionPolicy, ReadFn, UnitState};
 use crate::wal::{Wal, WalEntry};
-use godiva_obs::Tracer;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,16 +41,6 @@ pub(crate) enum AllocCtx {
     /// An inline (blocking) read on the calling thread. Cannot block on
     /// other threads, so budget exhaustion is an error.
     Inline,
-}
-
-impl AllocCtx {
-    /// The executor worker id, if this is a worker allocation.
-    pub(crate) fn worker(self) -> Option<usize> {
-        match self {
-            AllocCtx::Worker(n) => Some(n),
-            _ => None,
-        }
-    }
 }
 
 /// What a unit's table entry shares with its records, their handles
@@ -85,8 +74,6 @@ pub(crate) struct UnitEntry {
     /// Monotonic sequence assigned when the unit finished loading (FIFO
     /// eviction order).
     pub(crate) loaded_seq: u64,
-    /// Scheduling priority carried across re-queues (`reset_unit`).
-    pub(crate) priority: i64,
     /// Executor worker currently reading this unit (`None` when idle or
     /// read inline on an application thread). The deadlock check uses
     /// it to see whether the unit a caller waits for is stuck behind a
@@ -100,7 +87,7 @@ pub(crate) struct UnitEntry {
 }
 
 impl UnitEntry {
-    pub(crate) fn new(name: &str, reader: Option<ReadFn>, state: UnitState, priority: i64) -> Self {
+    pub(crate) fn new(name: &str, reader: Option<ReadFn>, state: UnitState) -> Self {
         UnitEntry {
             tag: Arc::new(UnitTag {
                 name: name.to_string(),
@@ -112,7 +99,6 @@ impl UnitEntry {
             refcount: 0,
             bytes: 0,
             loaded_seq: 0,
-            priority,
             reading_worker: None,
             loaded_by: 0,
         }
@@ -132,9 +118,12 @@ impl UnitEntry {
     }
 }
 
+#[derive(Default)]
 pub(crate) struct UnitsState {
     pub(crate) units: HashMap<String, UnitEntry>,
-    pub(crate) queue: Box<dyn QueuePolicy>,
+    /// The prefetch queue: units wait in arrival order (§3.2) for a
+    /// free worker, or for the `wait_unit` that reads them inline.
+    pub(crate) queue: VecDeque<String>,
     pub(crate) mem_used: u64,
     pub(crate) mem_limit: u64,
     /// Executor workers currently blocked waiting for memory, keyed by
@@ -163,7 +152,8 @@ impl UnitsState {
 
 /// The unit layer: unit table + queue + budget behind one lock, with
 /// the two condition variables the rest of the database synchronizes
-/// through.
+/// through. Operations that also touch the record store (eviction,
+/// charging, delete, reset) are the `impl Inner` block below.
 pub(crate) struct Units {
     pub(crate) state: Mutex<UnitsState>,
     /// The LRU clock: ticks on every unit access (wait, load, lookup).
@@ -186,11 +176,16 @@ pub(crate) struct Units {
     /// write lock is the innermost lock in the database, so every
     /// journal point below may append while holding the units lock.
     pub(crate) wal: Option<Arc<Wal>>,
+    tel: Arc<Telemetry>,
+}
+
+pub(crate) fn unknown_unit(name: &str) -> GodivaError {
+    GodivaError::UnitError(format!("unknown unit '{name}'"))
 }
 
 impl Units {
     pub(crate) fn new(
-        queue: Box<dyn QueuePolicy>,
+        tel: Arc<Telemetry>,
         mem_limit: u64,
         eviction: EvictionPolicy,
         worker_count: usize,
@@ -199,12 +194,8 @@ impl Units {
     ) -> Self {
         Units {
             state: Mutex::new(UnitsState {
-                units: HashMap::new(),
-                queue,
-                mem_used: 0,
                 mem_limit,
-                blocked_workers: BTreeMap::new(),
-                shutdown: false,
+                ..Default::default()
             }),
             clock: AtomicU64::new(0),
             unit_cv: Condvar::new(),
@@ -213,13 +204,14 @@ impl Units {
             worker_count,
             spill,
             wal,
+            tel,
         }
     }
 
     /// Append a unit lifecycle entry to the WAL, if one is active.
-    pub(crate) fn journal(&self, metrics: &GboMetrics, tracer: &Tracer, entry: WalEntry) {
+    pub(crate) fn journal(&self, entry: WalEntry) {
         if let Some(wal) = &self.wal {
-            wal.append(metrics, tracer, &entry);
+            wal.append(&entry);
         }
     }
 
@@ -227,31 +219,130 @@ impl Units {
     /// Every path that pushes to, pops from or edits the queue calls
     /// this, so the gauge can never go stale or (being recomputed, not
     /// adjusted by deltas) negative.
-    pub(crate) fn sync_queue_gauge(&self, st: &UnitsState, metrics: &GboMetrics) {
-        metrics.queue_depth.set(st.queue.len() as u64);
+    pub(crate) fn sync_queue_gauge(&self, st: &UnitsState) {
+        self.tel.metrics.queue_depth.set(st.queue.len() as u64);
     }
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, UnitsState> {
         self.state.lock()
     }
 
-    // ------------------------------------------------------------------
-    // memory accounting
-    // ------------------------------------------------------------------
+    /// Return `bytes` to the budget (and to `unit`'s account).
+    pub(crate) fn release(&self, st: &mut UnitsState, bytes: u64, unit: Option<&UnitTag>) {
+        if bytes == 0 {
+            return;
+        }
+        st.mem_used = st.mem_used.saturating_sub(bytes);
+        self.tel.metrics.mem.set(st.mem_used);
+        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
+            u.bytes = u.bytes.saturating_sub(bytes);
+        }
+        self.work_cv.notify_all();
+    }
 
+    /// `addUnit`: register (or re-arm) the unit and enqueue it.
+    pub(crate) fn add_unit(&self, name: &str, reader: ReadFn) -> Result<()> {
+        let mut st = self.lock();
+        if st.shutdown {
+            return Err(GodivaError::Shutdown);
+        }
+        match st.units.get_mut(name) {
+            None => {
+                let entry = UnitEntry::new(name, Some(reader), UnitState::Queued);
+                st.units.insert(name.to_string(), entry);
+            }
+            Some(entry) if entry.state == UnitState::Registered => {
+                entry.reader = Some(reader);
+                entry.state = UnitState::Queued;
+            }
+            Some(entry) => {
+                return Err(GodivaError::UnitError(format!(
+                    "unit '{name}' already added (state {:?})",
+                    entry.state
+                )))
+            }
+        }
+        st.queue.push_back(name.to_string());
+        self.journal(WalEntry::UnitAdded {
+            unit: name.to_string(),
+        });
+        self.sync_queue_gauge(&st);
+        self.tel.unit_added(name, true);
+        self.work_cv.notify_all();
+        Ok(())
+    }
+
+    /// First half of `readUnit`: make `name` known (not queued — the
+    /// caller's wait reads it inline) or, if it is merely registered,
+    /// give it `reader`. A unit already on its way keeps its own.
+    pub(crate) fn arm_for_read(&self, name: &str, reader: ReadFn) -> Result<()> {
+        let mut st = self.lock();
+        if st.shutdown {
+            return Err(GodivaError::Shutdown);
+        }
+        match st.units.get_mut(name) {
+            None => {
+                let entry = UnitEntry::new(name, Some(reader), UnitState::Registered);
+                st.units.insert(name.to_string(), entry);
+                self.journal(WalEntry::UnitAdded {
+                    unit: name.to_string(),
+                });
+                self.tel.unit_added(name, false);
+            }
+            Some(entry) if entry.state == UnitState::Registered => entry.reader = Some(reader),
+            Some(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Remove `name` from the prefetch queue if enqueued.
+    pub(crate) fn unqueue(&self, st: &mut UnitsState, name: &str) {
+        if let Some(pos) = st.queue.iter().position(|n| n == name) {
+            st.queue.remove(pos);
+        }
+        // Unconditional: even a no-op removal re-asserts the gauge.
+        self.sync_queue_gauge(st);
+    }
+
+    /// `finishUnit`: unpin; at zero pins a `Ready` unit becomes
+    /// `Finished` — evictable — and only that transition is journaled
+    /// and reported. Finishing an already `Finished` unit is a no-op.
+    pub(crate) fn finish_unit(&self, name: &str) -> Result<()> {
+        let mut st = self.lock();
+        let entry = st.units.get_mut(name).ok_or_else(|| unknown_unit(name))?;
+        if !entry.state.is_loaded() {
+            return Err(GodivaError::UnitError(format!(
+                "unit '{name}' is not loaded (state {:?})",
+                entry.state
+            )));
+        }
+        entry.refcount = entry.refcount.saturating_sub(1);
+        if entry.refcount == 0 && entry.state == UnitState::Ready {
+            entry.state = UnitState::Finished;
+            self.journal(WalEntry::UnitFinished {
+                unit: name.to_string(),
+            });
+            self.tel.unit_finished(name);
+            // A worker may have been waiting for evictable memory.
+            self.work_cv.notify_all();
+        }
+        Ok(())
+    }
+}
+
+/// Unit operations that reach into the record store (lock order is
+/// always units → store).
+impl Inner {
     /// Charge `bytes` to the budget on behalf of `unit` (if any),
     /// blocking or failing according to `ctx`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn charge<'a>(
         &'a self,
         st: &mut MutexGuard<'a, UnitsState>,
-        store: &Store,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
         bytes: u64,
         ctx: AllocCtx,
         unit: Option<&UnitTag>,
     ) -> Result<()> {
+        let metrics = &self.tel.metrics;
         loop {
             if st.shutdown && matches!(ctx, AllocCtx::Worker(_)) {
                 return Err(GodivaError::Shutdown);
@@ -259,7 +350,7 @@ impl Units {
             if st.mem_used + bytes <= st.mem_limit {
                 break;
             }
-            if self.evict_one(st, store, metrics, tracer) {
+            if self.evict_one(st) {
                 continue;
             }
             // Nothing evictable. If everything currently charged belongs
@@ -290,8 +381,8 @@ impl Units {
                     st.blocked_workers.insert(id, bytes);
                     // Wake any `wait_unit` callers so they can run the
                     // deadlock check (§3.3).
-                    self.unit_cv.notify_all();
-                    self.work_cv.wait(st);
+                    self.units.unit_cv.notify_all();
+                    self.units.work_cv.wait(st);
                     st.blocked_workers.remove(&id);
                 }
             }
@@ -305,39 +396,14 @@ impl Units {
         Ok(())
     }
 
-    /// Return `bytes` to the budget (and to `unit`'s account).
-    pub(crate) fn release(
-        &self,
-        st: &mut UnitsState,
-        metrics: &GboMetrics,
-        bytes: u64,
-        unit: Option<&UnitTag>,
-    ) {
-        if bytes == 0 {
-            return;
-        }
-        st.mem_used = st.mem_used.saturating_sub(bytes);
-        metrics.mem.set(st.mem_used);
-        if let Some(u) = unit.and_then(|u| st.units.get_mut(&u.name)) {
-            u.bytes = u.bytes.saturating_sub(bytes);
-        }
-        self.work_cv.notify_all();
-    }
-
     /// Evict one finished, unpinned unit according to the policy.
     /// Returns whether anything was evicted.
-    pub(crate) fn evict_one(
-        &self,
-        st: &mut UnitsState,
-        store: &Store,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-    ) -> bool {
+    pub(crate) fn evict_one(&self, st: &mut UnitsState) -> bool {
         let candidate =
             st.units
                 .values()
                 .filter(|u| u.evictable())
-                .min_by_key(|u| match self.eviction {
+                .min_by_key(|u| match self.units.eviction {
                     EvictionPolicy::Lru => u.tag.last_access.load(Ordering::Relaxed),
                     EvictionPolicy::Fifo => u.loaded_seq,
                 });
@@ -350,49 +416,25 @@ impl Units {
         // with the eviction (both happen under the units lock, so a
         // concurrent reader can never observe "evicted but not yet
         // spilled"). Empty units have nothing worth a file.
-        if let Some(spill) = &self.spill {
+        if let Some(spill) = &self.units.spill {
             if !victim.records.is_empty() {
-                if let Some(frame) = crate::spill::encode_unit(store, name, &victim.records) {
-                    spill.store_unit(metrics, tracer, name, frame);
+                if let Some(frame) = crate::spill::encode_unit(&self.store, name, &victim.records) {
+                    spill.store_unit(name, frame);
                 }
             }
         }
-        let freed = self.drop_unit_data(st, store, metrics, name);
-        self.journal(
-            metrics,
-            tracer,
-            WalEntry::UnitEvicted {
-                unit: name.to_string(),
-            },
-        );
-        metrics.evictions.inc();
-        metrics.bytes_evicted.add(freed);
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "unit_evicted",
-                vec![
-                    ("unit", name.into()),
-                    ("freed_bytes", freed.into()),
-                    // Post-eviction occupancy: an occupancy-timeline
-                    // sample for trace analytics (godiva-report).
-                    ("mem_used", st.mem_used.into()),
-                ],
-            );
-        }
+        let freed = self.drop_unit_data(st, name);
+        self.units.journal(WalEntry::UnitEvicted {
+            unit: name.to_string(),
+        });
+        self.tel.unit_evicted(name, freed, st.mem_used);
         true
     }
 
     /// Remove a unit's records from the store and index, free its bytes,
     /// and return the unit to `Registered`. Returns bytes freed.
-    /// Takes the store lock (lock order units → store).
-    pub(crate) fn drop_unit_data(
-        &self,
-        st: &mut UnitsState,
-        store: &Store,
-        metrics: &GboMetrics,
-        name: &str,
-    ) -> u64 {
+    /// Takes the store lock.
+    pub(crate) fn drop_unit_data(&self, st: &mut UnitsState, name: &str) -> u64 {
         let Some(entry) = st.units.get_mut(name) else {
             return 0;
         };
@@ -400,131 +442,19 @@ impl Units {
         let freed = entry.bytes;
         entry.bytes = 0;
         entry.state = UnitState::Registered;
-        store.remove_records(&records);
+        self.store.remove_records(&records);
         st.mem_used = st.mem_used.saturating_sub(freed);
-        metrics.mem.set(st.mem_used);
+        self.tel.metrics.mem.set(st.mem_used);
         if freed > 0 {
-            self.work_cv.notify_all();
+            self.units.work_cv.notify_all();
         }
         freed
     }
 
-    // ------------------------------------------------------------------
-    // unit lifecycle
-    // ------------------------------------------------------------------
-
-    /// `addUnit`: register (or re-arm) the unit and enqueue it.
-    pub(crate) fn add_unit(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        name: &str,
-        priority: i64,
-        reader: ReadFn,
-    ) -> Result<()> {
-        let mut st = self.lock();
-        if st.shutdown {
-            return Err(GodivaError::Shutdown);
-        }
-        match st.units.get_mut(name) {
-            None => {
-                st.units.insert(
-                    name.to_string(),
-                    UnitEntry::new(name, Some(reader), UnitState::Queued, priority),
-                );
-            }
-            Some(entry) => match entry.state {
-                UnitState::Registered => {
-                    entry.reader = Some(reader);
-                    entry.state = UnitState::Queued;
-                    entry.priority = priority;
-                }
-                _ => {
-                    return Err(GodivaError::UnitError(format!(
-                        "unit '{name}' already added (state {:?})",
-                        entry.state
-                    )))
-                }
-            },
-        }
-        st.queue.push(name.to_string(), priority);
-        self.journal(
-            metrics,
-            tracer,
-            WalEntry::UnitAdded {
-                unit: name.to_string(),
-            },
-        );
-        metrics.units_added.inc();
-        self.sync_queue_gauge(&st, metrics);
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "unit_added",
-                vec![("unit", name.into()), ("queued", true.into())],
-            );
-        }
-        self.work_cv.notify_all();
-        Ok(())
-    }
-
-    /// Remove `name` from the prefetch queue if enqueued.
-    pub(crate) fn unqueue(&self, st: &mut UnitsState, metrics: &GboMetrics, name: &str) {
-        st.queue.remove(name);
-        // Unconditional: even a no-op removal re-asserts the gauge.
-        self.sync_queue_gauge(st, metrics);
-    }
-
-    /// `finishUnit`: unpin; at zero pins the unit becomes evictable.
-    pub(crate) fn finish_unit(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        name: &str,
-    ) -> Result<()> {
-        let mut st = self.lock();
-        let entry = st
-            .units
-            .get_mut(name)
-            .ok_or_else(|| GodivaError::UnitError(format!("unknown unit '{name}'")))?;
-        if !entry.state.is_loaded() {
-            return Err(GodivaError::UnitError(format!(
-                "unit '{name}' is not loaded (state {:?})",
-                entry.state
-            )));
-        }
-        entry.refcount = entry.refcount.saturating_sub(1);
-        if entry.refcount == 0 {
-            entry.state = UnitState::Finished;
-            self.journal(
-                metrics,
-                tracer,
-                WalEntry::UnitFinished {
-                    unit: name.to_string(),
-                },
-            );
-            if tracer.enabled() {
-                tracer.instant("gbo", "unit_finished", vec![("unit", name.into())]);
-            }
-            // A worker may have been waiting for evictable memory.
-            self.work_cv.notify_all();
-        }
-        Ok(())
-    }
-
     /// `deleteUnit`: drop the unit's records immediately.
-    pub(crate) fn delete_unit(
-        &self,
-        store: &Store,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        name: &str,
-    ) -> Result<()> {
-        let mut st = self.lock();
-        let entry = st
-            .units
-            .get_mut(name)
-            .ok_or_else(|| GodivaError::UnitError(format!("unknown unit '{name}'")))?;
+    pub(crate) fn delete_unit(&self, name: &str) -> Result<()> {
+        let mut st = self.units.lock();
+        let entry = st.units.get_mut(name).ok_or_else(|| unknown_unit(name))?;
         match entry.state {
             UnitState::Reading => {
                 return Err(GodivaError::UnitError(format!(
@@ -533,55 +463,35 @@ impl Units {
             }
             UnitState::Queued => {
                 entry.state = UnitState::Registered;
-                self.unqueue(&mut st, metrics, name);
+                self.units.unqueue(&mut st, name);
             }
             _ => {}
         }
         if let Some(e) = st.units.get_mut(name) {
             e.refcount = 0;
         }
-        let freed = self.drop_unit_data(&mut st, store, metrics, name);
+        let freed = self.drop_unit_data(&mut st, name);
         // `deleteUnit` is the developer saying the data is gone — a
         // spilled copy must not resurrect it on the next read, and a
         // recovered run must not re-adopt one either.
-        if let Some(spill) = &self.spill {
-            spill.invalidate(metrics, tracer, name);
+        if let Some(spill) = &self.units.spill {
+            spill.invalidate(name);
         }
-        self.journal(
-            metrics,
-            tracer,
-            WalEntry::UnitDeleted {
-                unit: name.to_string(),
-            },
-        );
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "unit_deleted",
-                vec![("unit", name.into()), ("freed_bytes", freed.into())],
-            );
-        }
+        self.units.journal(WalEntry::UnitDeleted {
+            unit: name.to_string(),
+        });
+        self.tel.unit_deleted(name, freed);
         Ok(())
     }
 
     /// Re-queue a `Failed` unit for another load attempt with its
-    /// existing read function, dropping any partial records first. The
-    /// unit keeps the priority it was added with.
-    pub(crate) fn reset_unit(
-        &self,
-        store: &Store,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        name: &str,
-    ) -> Result<()> {
-        let mut st = self.lock();
+    /// existing read function, dropping any partial records first.
+    pub(crate) fn reset_unit(&self, name: &str) -> Result<()> {
+        let mut st = self.units.lock();
         if st.shutdown {
             return Err(GodivaError::Shutdown);
         }
-        let entry = st
-            .units
-            .get_mut(name)
-            .ok_or_else(|| GodivaError::UnitError(format!("unknown unit '{name}'")))?;
+        let entry = st.units.get_mut(name).ok_or_else(|| unknown_unit(name))?;
         match entry.state {
             UnitState::Failed(_) => {}
             ref other => {
@@ -596,17 +506,52 @@ impl Units {
             )));
         }
         entry.refcount = 0;
-        self.drop_unit_data(&mut st, store, metrics, name);
+        self.drop_unit_data(&mut st, name);
         let entry = st.units.get_mut(name).expect("still present");
         entry.state = UnitState::Queued;
-        let priority = entry.priority;
-        st.queue.push(name.to_string(), priority);
-        metrics.units_reset.inc();
-        self.sync_queue_gauge(&st, metrics);
-        if tracer.enabled() {
-            tracer.instant("gbo", "unit_reset", vec![("unit", name.into())]);
-        }
-        self.work_cv.notify_all();
+        st.queue.push_back(name.to_string());
+        self.units.sync_queue_gauge(&st);
+        self.tel.unit_reset(name);
+        self.units.work_cv.notify_all();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::db::{Gbo, GboConfig, UnitSession};
+
+    /// A single-thread database (nothing drains the queue) with `names`
+    /// added in order.
+    fn queued(names: &[&str]) -> Gbo {
+        let db = Gbo::with_config(GboConfig {
+            background_io: false,
+            ..Default::default()
+        });
+        for name in names {
+            db.add_unit(name, |_s: &UnitSession| Ok(())).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn fifo_preserves_arrival_order() {
+        let db = queued(&["a", "b", "c"]);
+        let mut st = db.inner.units.lock();
+        assert_eq!(st.queue.len(), 3);
+        assert_eq!(st.queue.pop_front().as_deref(), Some("a"));
+        assert_eq!(st.queue.pop_front().as_deref(), Some("b"));
+        assert_eq!(st.queue.pop_front().as_deref(), Some("c"));
+        assert_eq!(st.queue.pop_front(), None);
+    }
+
+    #[test]
+    fn fifo_remove_plucks_from_middle() {
+        let db = queued(&["a", "b", "c"]);
+        let units = &db.inner.units;
+        let mut st = units.lock();
+        units.unqueue(&mut st, "b");
+        units.unqueue(&mut st, "b");
+        assert_eq!(st.queue, ["a", "c"]);
     }
 }

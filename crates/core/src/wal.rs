@@ -50,11 +50,10 @@
 use crate::db::{Gbo, GboConfig};
 use crate::error::{GodivaError, Result};
 use crate::frame::{self, put_bytes, Reader};
-use crate::metrics::GboMetrics;
 use crate::schema::RecordTypeDef;
+use crate::telemetry::Telemetry;
 use crate::unit::UnitState;
 use crate::units::UnitEntry;
-use godiva_obs::Tracer;
 use godiva_platform::RealFs;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -419,28 +418,30 @@ pub(crate) struct Wal {
     /// Set on the first I/O error: journaling stops (the run degrades
     /// to a cold-restart guarantee) instead of failing lifecycle ops.
     dead: AtomicBool,
+    tel: Arc<Telemetry>,
 }
 
 impl Wal {
     /// Start a fresh log in `dir` (truncating any previous one).
-    pub(crate) fn create(dir: &Path, sync_each: bool) -> io::Result<Wal> {
-        Self::open_at(dir, sync_each, 1, 0)
+    pub(crate) fn create(dir: &Path, sync_each: bool, tel: Arc<Telemetry>) -> io::Result<Wal> {
+        Self::open_after(dir, sync_each, &LogScan::default(), tel)
     }
 
-    /// Re-open an existing log for appending after recovery, truncating
-    /// the torn tail at `valid_len` and continuing at `next_lsn`.
-    pub(crate) fn open_at(
+    /// Re-open the log `scan` was read from for appending: truncate the
+    /// torn tail after its valid prefix and continue at its next LSN.
+    pub(crate) fn open_after(
         dir: &Path,
         sync_each: bool,
-        next_lsn: u64,
-        valid_len: u64,
+        scan: &LogScan,
+        tel: Arc<Telemetry>,
     ) -> io::Result<Wal> {
+        let next_lsn = scan.next_lsn();
         std::fs::create_dir_all(dir)?;
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(dir.join(WAL_FILE))?;
-        file.set_len(valid_len)?;
+        file.set_len(scan.valid_len)?;
         Ok(Wal {
             file,
             writer: Mutex::new((next_lsn, Vec::new())),
@@ -449,6 +450,7 @@ impl Wal {
             sync_lock: Mutex::new(()),
             sync_each,
             dead: AtomicBool::new(false),
+            tel,
         })
     }
 
@@ -469,34 +471,21 @@ impl Wal {
     /// call also waits for the entry to be durable (coalescing with
     /// concurrent committers). Errors poison the log rather than fail
     /// the caller's lifecycle operation.
-    pub(crate) fn append(&self, metrics: &GboMetrics, tracer: &Tracer, entry: &WalEntry) {
-        self.append_with(metrics, tracer, entry.kind(), |out| {
-            encode_entry(out, entry)
-        });
+    pub(crate) fn append(&self, entry: &WalEntry) {
+        self.append_with(false, entry.kind(), |out| encode_entry(out, entry));
     }
 
     /// [`Wal::append`] of a `RecordCommitted` entry, from the store's own
     /// data: the owning unit, the record type and the encoded key.
-    pub(crate) fn append_commit(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        unit: Option<&str>,
-        rt: &RecordTypeDef,
-        key: &[u8],
-    ) {
-        self.append_with(metrics, tracer, "record_committed", |out| {
+    pub(crate) fn append_commit(&self, unit: Option<&str>, rt: &RecordTypeDef, key: &[u8]) {
+        self.append_with(true, "record_committed", |out| {
             encode_commit(out, unit, &rt.name, rt.declared_keys, key)
         });
     }
 
-    fn append_with(
-        &self,
-        metrics: &GboMetrics,
-        tracer: &Tracer,
-        kind: &'static str,
-        encode: impl FnOnce(&mut Vec<u8>),
-    ) {
+    /// `per_record`: the entry journals a record commit, so its
+    /// telemetry is a per-record event.
+    fn append_with(&self, per_record: bool, kind: &'static str, encode: impl FnOnce(&mut Vec<u8>)) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
@@ -516,29 +505,17 @@ impl Wal {
             *next = lsn + 1;
             self.appended_lsn.store(lsn, Ordering::Release);
         }
-        metrics.wal_appends.inc();
-        metrics.wal_bytes.add(len);
-        if tracer.enabled() {
-            tracer.instant(
-                "gbo",
-                "wal_append",
-                vec![
-                    ("lsn", lsn.into()),
-                    ("kind", kind.into()),
-                    ("bytes", len.into()),
-                ],
-            );
-        }
+        self.tel.wal_append(per_record, lsn, kind, len);
         crate::crash::crash_point("wal_append");
         if self.sync_each {
-            self.sync_to(lsn, metrics, tracer);
+            self.sync_to(lsn, per_record);
         }
     }
 
     /// Make every record up to `lsn` durable. Committers whose LSN an
     /// earlier fsync already covered return without touching the disk —
     /// the group-commit coalescing.
-    pub(crate) fn sync_to(&self, lsn: u64, metrics: &GboMetrics, tracer: &Tracer) {
+    pub(crate) fn sync_to(&self, lsn: u64, per_record: bool) {
         if self.dead.load(Ordering::Relaxed) || self.synced_lsn.load(Ordering::Acquire) >= lsn {
             return;
         }
@@ -547,16 +524,13 @@ impl Wal {
             return; // somebody's fsync covered us while we waited
         }
         let cover = self.appended_lsn.load(Ordering::Acquire);
-        let t0 = tracer.now_us();
+        let t0 = self.tel.now_us();
         if let Err(e) = self.file.sync_data() {
             self.poison("fsync", &e);
             return;
         }
         self.synced_lsn.fetch_max(cover, Ordering::AcqRel);
-        metrics.wal_fsyncs.inc();
-        if tracer.enabled() {
-            tracer.complete("gbo", "wal_fsync", t0, vec![("lsn", cover.into())]);
-        }
+        self.tel.wal_fsync(per_record, cover, t0);
         crate::crash::crash_point("wal_fsync");
     }
 }
@@ -659,20 +633,18 @@ impl Gbo {
         let scan = scan_log(&path)?;
         let rep = replay(&scan);
         let sync = config.durability == Durability::WalSync;
-        let walh = Arc::new(Wal::open_at(&dir, sync, scan.next_lsn(), scan.valid_len)?);
-        let gbo = Self::build(config, Some(walh));
+        let tel = Telemetry::new(&config);
+        let walh = Wal::open_after(&dir, sync, &scan, Arc::clone(&tel))?;
+        let gbo = Self::build(config, tel, Some(Arc::new(walh)));
         let inner = &gbo.inner;
-        let span_start = inner.tracer.now_us();
-        let truncated = file_len.saturating_sub(scan.valid_len);
-        inner.metrics.wal_replayed.add(rep.entries);
-        inner.metrics.wal_truncated.add(truncated);
+        let span_start = inner.tel.now_us();
         {
             let mut st = inner.units.lock();
             for (name, ru) in &rep.units {
                 let entry = st
                     .units
                     .entry(name.clone())
-                    .or_insert_with(|| UnitEntry::new(name, None, UnitState::Registered, 0));
+                    .or_insert_with(|| UnitEntry::new(name, None, UnitState::Registered));
                 if ru.loaded {
                     // Preserve revisit accounting: a recovered unit that
                     // had loaded counts as previously-loaded, so its next
@@ -686,22 +658,13 @@ impl Gbo {
         if let Some(spill) = &inner.units.spill {
             spill.sweep_tmp();
             for (name, (len, xxh)) in live_frames(&scan, &rep) {
-                adopted += spill.adopt(&inner.metrics, &inner.tracer, name, len, xxh) as u64;
+                adopted += spill.adopt(name, len, xxh) as u64;
             }
         }
-        if inner.tracer.enabled() {
-            inner.tracer.complete(
-                "gbo",
-                "wal_replay",
-                span_start,
-                vec![
-                    ("records", rep.entries.into()),
-                    ("units", (rep.units.len() as u64).into()),
-                    ("frames_adopted", adopted.into()),
-                    ("truncated_bytes", truncated.into()),
-                ],
-            );
-        }
+        let truncated = file_len.saturating_sub(scan.valid_len);
+        inner
+            .tel
+            .wal_replay(rep.entries, rep.units.len(), adopted, truncated, span_start);
         Ok(gbo)
     }
 
@@ -791,7 +754,12 @@ impl Gbo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use godiva_obs::Tracer;
+
+    /// A fresh log in `dir` and the telemetry it counts into.
+    fn fresh_wal(dir: &Path) -> (Wal, Arc<Telemetry>) {
+        let tel = Telemetry::new(&GboConfig::default());
+        (Wal::create(dir, false, Arc::clone(&tel)).unwrap(), tel)
+    }
 
     fn entries() -> Vec<WalEntry> {
         vec![
@@ -829,11 +797,9 @@ mod tests {
     #[test]
     fn append_scan_roundtrip_every_entry_kind() {
         let dir = temp_dir("roundtrip");
-        let wal = Wal::create(&dir, false).unwrap();
-        let m = GboMetrics::new(None);
-        let t = Tracer::disabled();
+        let (wal, tel) = fresh_wal(&dir);
         for e in entries() {
-            wal.append(&m, &t, &e);
+            wal.append(&e);
         }
         assert_eq!(wal.last_lsn(), entries().len() as u64);
         let scan = scan_log(&dir.join(WAL_FILE)).unwrap();
@@ -849,18 +815,16 @@ mod tests {
             scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(),
             (1..=entries().len() as u64).collect::<Vec<_>>()
         );
-        assert_eq!(m.wal_appends.get(), entries().len() as u64);
+        assert_eq!(tel.metrics.wal_appends.get(), entries().len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_truncates_at_every_byte_offset() {
         let dir = temp_dir("torn");
-        let wal = Wal::create(&dir, false).unwrap();
-        let m = GboMetrics::new(None);
-        let t = Tracer::disabled();
+        let (wal, _) = fresh_wal(&dir);
         for e in entries() {
-            wal.append(&m, &t, &e);
+            wal.append(&e);
         }
         drop(wal);
         let path = dir.join(WAL_FILE);
@@ -890,11 +854,9 @@ mod tests {
     #[test]
     fn corrupt_middle_record_ends_the_prefix() {
         let dir = temp_dir("corrupt");
-        let wal = Wal::create(&dir, false).unwrap();
-        let m = GboMetrics::new(None);
-        let t = Tracer::disabled();
+        let (wal, _) = fresh_wal(&dir);
         for e in entries() {
-            wal.append(&m, &t, &e);
+            wal.append(&e);
         }
         drop(wal);
         let path = dir.join(WAL_FILE);
@@ -912,11 +874,9 @@ mod tests {
     #[test]
     fn reopen_continues_lsns_after_truncation() {
         let dir = temp_dir("reopen");
-        let wal = Wal::create(&dir, false).unwrap();
-        let m = GboMetrics::new(None);
-        let t = Tracer::disabled();
+        let (wal, tel) = fresh_wal(&dir);
         for e in entries() {
-            wal.append(&m, &t, &e);
+            wal.append(&e);
         }
         drop(wal);
         let path = dir.join(WAL_FILE);
@@ -926,8 +886,8 @@ mod tests {
         let scan = scan_log(&path).unwrap();
         assert!(scan.truncated);
         let next = scan.next_lsn();
-        let wal = Wal::open_at(&dir, false, next, scan.valid_len).unwrap();
-        wal.append(&m, &t, &WalEntry::UnitAdded { unit: "u2".into() });
+        let wal = Wal::open_after(&dir, false, &scan, tel).unwrap();
+        wal.append(&WalEntry::UnitAdded { unit: "u2".into() });
         drop(wal);
         let scan = scan_log(&path).unwrap();
         assert!(!scan.truncated);
@@ -990,19 +950,17 @@ mod tests {
     #[test]
     fn group_commit_coalesces_fsyncs() {
         let dir = temp_dir("sync");
-        let wal = Wal::create(&dir, false).unwrap();
-        let m = GboMetrics::new(None);
-        let t = Tracer::disabled();
+        let (wal, tel) = fresh_wal(&dir);
         for e in entries() {
-            wal.append(&m, &t, &e);
+            wal.append(&e);
         }
         let last = wal.last_lsn();
-        wal.sync_to(last, &m, &t);
-        assert_eq!(m.wal_fsyncs.get(), 1);
+        wal.sync_to(last, false);
+        assert_eq!(tel.metrics.wal_fsyncs.get(), 1);
         // Everything appended before the fsync is covered: no new fsync.
-        wal.sync_to(1, &m, &t);
-        wal.sync_to(last, &m, &t);
-        assert_eq!(m.wal_fsyncs.get(), 1);
+        wal.sync_to(1, false);
+        wal.sync_to(last, false);
+        assert_eq!(tel.metrics.wal_fsyncs.get(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1014,11 +972,9 @@ mod tests {
     #[test]
     fn wal_bytes_are_pinned() {
         let dir = temp_dir("pinned");
-        let wal = Wal::create(&dir, false).unwrap();
-        let m = GboMetrics::new(None);
-        let t = Tracer::disabled();
+        let (wal, _) = fresh_wal(&dir);
         for e in entries() {
-            wal.append(&m, &t, &e);
+            wal.append(&e);
         }
         drop(wal);
         let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();

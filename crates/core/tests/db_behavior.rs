@@ -6,6 +6,7 @@ use godiva_core::{
     DeclaredSize, EvictionPolicy, FieldData, FieldKind, Gbo, GboConfig, GodivaError, Key,
     UnitSession, UnitState,
 };
+use godiva_obs::{MemorySink, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -250,6 +251,36 @@ fn refcount_two_waits_need_two_finishes() {
     assert_eq!(db.unit_state("u"), Some(UnitState::Ready), "still pinned");
     db.finish_unit("u").unwrap();
     assert_eq!(db.unit_state("u"), Some(UnitState::Finished));
+}
+
+/// A stray `finish_unit` on a unit nobody holds must not journal or
+/// report a second `Ready → Finished` transition.
+#[test]
+fn finishing_a_finished_unit_reports_nothing() {
+    let dir = std::env::temp_dir().join(format!("godiva-finish-twice-{}", std::process::id()));
+    let sink = Arc::new(MemorySink::new());
+    let db = Gbo::with_config(GboConfig {
+        background_io: false,
+        tracer: Tracer::new(sink.clone()),
+        wal_dir: Some(dir.clone()),
+        ..Default::default()
+    });
+    define_schema(&db);
+    db.add_unit("u0", unit_reader(10, Duration::ZERO)).unwrap();
+    db.wait_unit("u0").unwrap();
+    db.finish_unit("u0").unwrap();
+    let finished = || {
+        let events = sink.snapshot();
+        events.iter().filter(|e| e.name == "unit_finished").count()
+    };
+    let appends = db.stats().wal_appends;
+    assert_eq!(finished(), 1);
+    db.finish_unit("u0").unwrap();
+    assert_eq!(db.stats().wal_appends, appends, "journaled twice");
+    assert_eq!(finished(), 1, "reported twice");
+    assert_eq!(db.unit_state("u0"), Some(UnitState::Finished));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

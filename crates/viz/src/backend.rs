@@ -18,7 +18,7 @@
 
 use crate::error::{VizError, VizResult};
 use godiva_core::{
-    DeclaredSize, FieldKind, Gbo, GboConfig, GboStats, Key, RetryPolicy, UnitSession,
+    DeclaredSize, FieldKind, Gbo, GboConfig, GboStats, Key, Records, RetryPolicy, UnitSession,
 };
 use godiva_genx::fields::{components, variable, VarKind};
 use godiva_genx::manifest::{conn_dataset, points_dataset, var_dataset};
@@ -462,10 +462,10 @@ const BLOCK_TYPE: &str = "genx_block";
 /// Commit the block schema on the database itself, outside any read
 /// function. A warm restart ([`GodivaBackend::open_resuming`])
 /// re-materializes spilled records *before* any read callback runs, and
-/// restoring a record requires its committed type — so the schema must
-/// not live only inside the callbacks. Definitions are idempotent, so
-/// the callbacks re-declaring them later is fine.
-fn define_block_schema_db(db: &Gbo, vars: &[String]) -> godiva_core::Result<()> {
+/// restoring a record requires its committed type — so the backend
+/// declares the schema once, at construction, and the read functions
+/// rely on it.
+fn define_block_schema(db: &Records, vars: &[String]) -> godiva_core::Result<()> {
     db.define_field("snapshot", FieldKind::I64, DeclaredSize::Known(8))?;
     db.define_field("block", FieldKind::I64, DeclaredSize::Known(8))?;
     db.define_field("points", FieldKind::F64, DeclaredSize::Unknown)?;
@@ -484,25 +484,6 @@ fn define_block_schema_db(db: &Gbo, vars: &[String]) -> godiva_core::Result<()> 
     db.commit_record_type(BLOCK_TYPE)
 }
 
-fn define_block_schema(s: &UnitSession, vars: &[String]) -> godiva_core::Result<()> {
-    s.define_field("snapshot", FieldKind::I64, DeclaredSize::Known(8))?;
-    s.define_field("block", FieldKind::I64, DeclaredSize::Known(8))?;
-    s.define_field("points", FieldKind::F64, DeclaredSize::Unknown)?;
-    s.define_field("conn", FieldKind::I32, DeclaredSize::Unknown)?;
-    for v in vars {
-        s.define_field(v, FieldKind::F64, DeclaredSize::Unknown)?;
-    }
-    s.define_record(BLOCK_TYPE, 2)?;
-    s.insert_field(BLOCK_TYPE, "snapshot", true)?;
-    s.insert_field(BLOCK_TYPE, "block", true)?;
-    s.insert_field(BLOCK_TYPE, "points", false)?;
-    s.insert_field(BLOCK_TYPE, "conn", false)?;
-    for v in vars {
-        s.insert_field(BLOCK_TYPE, v, false)?;
-    }
-    s.commit_record_type(BLOCK_TYPE)
-}
-
 /// Read the blocks of one file of one snapshot into the database — the
 /// developer-supplied read function of this application.
 #[allow(clippy::too_many_arguments)]
@@ -516,7 +497,6 @@ fn read_file_into_db(
     snapshot: usize,
     file_index: usize,
 ) -> godiva_core::Result<()> {
-    define_block_schema(session, vars)?;
     // Skip files none of whose blocks belong to this database — a
     // partitioned (Houston) worker never even opens them.
     let wanted: Vec<usize> = config
@@ -593,7 +573,6 @@ impl GodivaBackend {
             mem_limit: options.mem_limit,
             background_io: options.background_io,
             io_threads: options.io_threads,
-            scheduler: Default::default(),
             eviction: options.eviction,
             retry: options.retry,
             tracer: options.tracer,
@@ -612,7 +591,7 @@ impl GodivaBackend {
         };
         // Commit the block schema before any wait: spill restore (and a
         // warm restart in particular) needs the committed type.
-        define_block_schema_db(&db, &options.vars)?;
+        define_block_schema(&db, &options.vars)?;
         let blocks = options
             .block_subset
             .unwrap_or_else(|| (0..config.blocks).collect());
